@@ -52,10 +52,6 @@ class Character3:
             arr[m] = c
         return cls(arr)
 
-    @property
-    def degree_bound(self):
-        return self.arr.shape[0] - 1
-
     def is_zero(self):
         return not self.arr.any()
 
@@ -65,9 +61,6 @@ class Character3:
 
     def nnz(self):
         return int(np.count_nonzero(self.arr))
-
-    def copy(self):
-        return Character3(self.arr.copy())
 
     def _padded(self, size):
         if self.arr.shape[0] == size:
@@ -122,12 +115,6 @@ class Character3:
         if r.any():
             raise NotACharacter(f"coefficients not divisible by {k}")
         return Character3(q)
-
-    def is_symmetric(self):
-        a = self.arr
-        return all(np.array_equal(a, np.transpose(a, perm))
-                   for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0),
-                                (2, 0, 1), (2, 1, 0)))
 
     def __repr__(self):
         return f"Character3(rank={self.rank()}, nnz={self.nnz()})"

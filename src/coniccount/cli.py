@@ -22,11 +22,11 @@ import json
 import os
 import sys
 
-from .fields import PrimeField, field_to_json
+from .fields import field_to_json
 from .conic_system import (DegenerateInstance, dimension_from_degrees,
                            random_ci)
 from .counting import (DEFAULT_PRIMES, DEFAULT_SEEDS, InconsistentCounts,
-                       count_conics, solve_and_verify)
+                       checked_prime_field, count_conics, solve_and_verify)
 from .groebner import PositiveDimensional
 from .quantum import formulas_table
 from .characters import vanishing_grid, rank_q, VanishingGrid
@@ -164,7 +164,8 @@ def cmd_splitting(args):
     entries = []
     if args.curve == "conic":
         ci, results, record = solve_and_verify(degrees, variant=args.variant,
-                                               prime=prime, seed=seed)
+                                               prime=prime, seed=seed,
+                                               method=args.method)
         for conic, verified, orbit in results:
             curve = conic_to_map(conic, md)
             st = splitting_type(ci, curve)
@@ -177,7 +178,7 @@ def cmd_splitting(args):
                 "quasi_line": is_quasi_line(st),
             })
     else:
-        ci = random_ci(md, PrimeField(prime), seed)
+        ci = random_ci(md, checked_prime_field(prime), seed, args.variant)
         line = find_line_through_point(ci)
         st = splitting_type(ci, line)
         entries.append({
@@ -201,6 +202,13 @@ def cmd_splitting(args):
         "entries": entries,
     }
     _emit(args, "splitting", payload)
+    # a line's splitting is reported, not checked: (2,0,0) is expected
+    if args.curve == "conic" and not (
+            all(record.certificates.values())
+            and all(e["verified"] and e["quasi_line"] for e in entries)):
+        print("FAIL: a certificate is false, or a conic is unverified or "
+              "not a quasi-line")
+        return EXIT_CHECK_FAILED
     return EXIT_OK
 
 

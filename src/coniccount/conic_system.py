@@ -426,23 +426,15 @@ class Conic:
             return F.sub(F.mul(self.s1, self.s1p), self.s2) != F.zero
         return self.s1 != F.zero
 
-    def ambient_point(self, xzy):
-        """Image of a plane point [x:z:y] in the ambient space."""
-        x, z, y = xzy
-        F = self.field
-        return (x,) + tuple(F.mul(z, aj) for aj in self.a_point) + (y,)
-
 
 def reconstruct_conic(ansatz, a_point, field):
     """Evaluate the solved conic coefficients at a solution of the derived
     system; this pins down the conic completely."""
     point = list(a_point)
-    s2 = ansatz.s2.map_coefficients(_embedder(ansatz.s2.ring.field, field), field)
-    s1 = ansatz.s1.map_coefficients(_embedder(ansatz.s1.ring.field, field), field)
-    s1p = ansatz.s1p.map_coefficients(_embedder(ansatz.s1p.ring.field, field), field)
-    return Conic(ansatz.variant, field,
-                 tuple(point),
-                 s2.evaluate(point), s1.evaluate(point), s1p.evaluate(point))
+    embed = _embedder(ansatz.s2.ring.field, field)
+    s2, s1, s1p = (c.map_coefficients(embed, field).evaluate(point)
+                   for c in (ansatz.s2, ansatz.s1, ansatz.s1p))
+    return Conic(ansatz.variant, field, tuple(point), s2, s1, s1p)
 
 
 def _embedder(src, dst):

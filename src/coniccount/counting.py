@@ -28,14 +28,16 @@ from dataclasses import dataclass, field as dc_field
 
 from .fields import PrimeField
 from .multipoly import PolyRing
-from .unipoly import (UniPoly, squarefree_root_count, is_squarefree,
-                      factor_squarefree, roots_in_field)
+from .unipoly import (BinaryForm, squarefree_root_count, is_squarefree,
+                      roots_in_field)
 from .groebner import (groebner_basis, quotient_count, eliminant_of_linear_form,
-                       solve_zero_dimensional, INFINITE, PositiveDimensional)
+                       solve_zero_dimensional, QuotientAlgebra, INFINITE,
+                       PositiveDimensional)
 from .resultant import sylvester_resultant
 from .conic_system import (DegenerateInstance, dimension_from_degrees,
                            random_ci, restrict_to_plane_family, cascade_solve,
-                           reconstruct_conic, restrict_section_to_plane)
+                           reconstruct_conic, restrict_section_to_plane,
+                           _embedder)
 from . import linalg
 
 DEFAULT_PRIMES = (10007, 31013, 65537)
@@ -124,74 +126,36 @@ class _LinearReduction:
         else:
             rref_rows, pivots = [], []
         self.field = F
-        self.nvars = nv
-        self.pivots = pivots
-        self.rows = rref_rows[:len(pivots)]
         self.free = [v for v in range(nv) if v not in pivots]
         names = tuple(ring.names[v] for v in self.free)
         self.ring = PolyRing(F, len(self.free), names)
-        images = []
+        # every variable as a linear form in the free ones
+        self.images = []
         free_index = {v: j for j, v in enumerate(self.free)}
         for v in range(nv):
             if v in free_index:
-                images.append(self.ring.gen(free_index[v]))
+                self.images.append(self.ring.gen(free_index[v]))
             else:
-                row = self.rows[pivots.index(v)]
+                row = rref_rows[pivots.index(v)]
                 combo = self.ring.zero()
                 for j, w in enumerate(self.free):
                     if row[w] != F.zero:
                         combo = combo - self.ring.gen(j).scale(row[w])
-                images.append(combo)
-        self.equations = [eq.substitute(self.ring, images) for eq in nonlinear]
+                self.images.append(combo)
+        self.equations = [eq.substitute(self.ring, self.images) for eq in nonlinear]
         self.expected_degrees = [eq.degree() for eq in nonlinear]
 
-    def lift(self, free_point, L, embed):
-        """Rebuild the full projective point from free coordinates."""
-        full = [None] * self.nvars
-        for j, v in enumerate(self.free):
-            full[v] = free_point[j]
-        for t, v in enumerate(self.pivots):
-            acc = L.zero
-            for w in self.free:
-                c = self.rows[t][w]
-                if c != self.field.zero:
-                    acc = L.sub(acc, L.mul(embed(c), full[w]))
-            full[v] = acc
-        return tuple(full)
 
-
-def _embed_into(F, L):
-    if F == L:
-        return lambda c: c
-    return L.from_base
-
-
-def _binary_form_data(f):
-    """(dehomogenized UniPoly in t = v0/v1, total degree) of a binary form."""
-    ring = f.ring
-    F = ring.field
-    deg = f.degree()
-    coeffs = [F.zero] * (deg + 1)
-    for mon, c in f.terms.items():
-        coeffs[mon[0]] = c
-    return UniPoly(F, coeffs), deg
-
-
-def _binary_distinct_roots(f):
-    """Number of distinct projective roots of a nonzero binary form, plus
-    a squarefreeness flag covering the root at infinity."""
-    poly, deg = _binary_form_data(f)
-    inf_mult = deg - poly.degree
-    distinct = squarefree_root_count(poly) + (1 if inf_mult else 0)
-    squarefree = is_squarefree(poly) and inf_mult <= 1
-    return distinct, squarefree
+def _evaluate_forms(forms, point, L):
+    """The values at a point over L of polynomials over a subfield of L."""
+    embed = _embedder(forms[0].ring.field, L)
+    return tuple(f.map_coefficients(embed, L).evaluate(list(point)) for f in forms)
 
 
 class DerivedSolver:
     """Counts and optionally solves one derived system instance."""
 
     def __init__(self, ds, rng, method="auto"):
-        self.ds = ds
         self.rng = rng
         self.reduction = _LinearReduction(ds)
         self.bezout = bezout_number(ds)
@@ -239,7 +203,7 @@ class DerivedSolver:
 
     def _count_binary(self):
         (f,) = self.reduction.equations
-        distinct, squarefree = _binary_distinct_roots(f)
+        distinct, squarefree = BinaryForm.from_multipoly(f).distinct_roots()
         return distinct, {
             "quotient_dim_equals_bezout": f.degree() == self.bezout,
             "eliminant_squarefree": squarefree,
@@ -262,13 +226,15 @@ class DerivedSolver:
 
     def _count_resultant(self):
         res, _ = self._resultant_eliminant()
-        distinct, squarefree = _binary_distinct_roots(res)
+        distinct, squarefree = BinaryForm.from_multipoly(res).distinct_roots()
         return distinct, {
             "quotient_dim_equals_bezout": res.degree() == self.bezout,
             "eliminant_squarefree": squarefree,
         }
 
     def _affine_chart(self):
+        """A random affine chart: (the equations on it, each free variable
+        as an affine form in the chart variables, the chart ring)."""
         red = self.reduction
         F = red.field
         m = len(red.free)
@@ -285,20 +251,21 @@ class DerivedSolver:
                     combo = combo + chart_ring.gen(j).scale(mat[i][j])
             images.append(combo)
         affine = [eq.substitute(chart_ring, images) for eq in red.equations]
-        return affine, mat, chart_ring
+        return affine, images, chart_ring
 
     def _count_groebner(self):
-        affine, mat, chart_ring = self._affine_chart()
+        affine, chart, chart_ring = self._affine_chart()
         basis = groebner_basis(affine)
         qc = quotient_count(basis)
         if qc == INFINITE:
             raise PositiveDimensional("derived system is not zero dimensional")
+        algebra = QuotientAlgebra(basis)
         F = chart_ring.field
         lam = [F.random_element(self.rng) for _ in range(chart_ring.nvars)]
-        elim = eliminant_of_linear_form(basis, lam)
+        elim = eliminant_of_linear_form(algebra, lam)
         squarefree = is_squarefree(elim)
         count = squarefree_root_count(elim)
-        self._groebner_state = (basis, mat, chart_ring)
+        self._groebner_state = (algebra, chart)
         return count, {
             "quotient_dim_equals_bezout": qc == self.bezout,
             "eliminant_squarefree": squarefree,
@@ -309,15 +276,15 @@ class DerivedSolver:
     def points(self, max_ext_degree=6):
         """Solutions as full projective a-points.
 
-        Yields (point, field, orbit_degree): extension-field solutions are
-        reported once per Galois orbit, with the orbit size as degree."""
+        Returns (point, field, orbit_degree) triples: extension-field
+        solutions are reported once per Galois orbit, with the orbit size
+        as degree.  Orbits of degree above ``max_ext_degree`` are left
+        out, so the degrees sum to the count only when every orbit is
+        small enough."""
         handler = getattr(self, f"_points_{self.route}")
-        red = self.reduction
-        out = []
-        for free_pt, L, k in handler(max_ext_degree):
-            embed = _embed_into(red.field, L)
-            out.append((red.lift(free_pt, L, embed), L, k))
-        return out
+        # every a-variable is a linear form in the free ones
+        return [(_evaluate_forms(self.reduction.images, free_pt, L), L, k)
+                for free_pt, L, k in handler(max_ext_degree)]
 
     def _points_trivial(self, max_ext_degree):
         F = self.reduction.field
@@ -326,23 +293,13 @@ class DerivedSolver:
         return [((F.one,), F, 1)]
 
     def _binary_points(self, form, max_ext_degree):
-        poly, deg = _binary_form_data(form)
-        F = form.ring.field
+        """One root (x0, x1) per irreducible factor of a binary form in
+        t = x0/x1, up to the degree cap."""
         pts = []
-        if poly.degree < deg:
-            pts.append(((F.one, F.zero), F, 1))
-        for factor in factor_squarefree(poly, self.rng):
-            k = factor.degree
-            if k > max_ext_degree:
-                continue
-            if k == 1:
-                L = F
-                root = F.neg(factor.coeffs[0])
-            else:
-                from .fields import ExtensionField
-                L = ExtensionField(F.p, list(factor.coeffs))
-                root = L.generator()
-            pts.append(((root, L.one), L, k))
+        for factor in BinaryForm.from_multipoly(form).factors(self.rng):
+            if factor.degree <= max_ext_degree:
+                (u, v), L = factor.root()
+                pts.append(((v, u), L, factor.degree))
         return pts
 
     def _points_binary(self, max_ext_degree):
@@ -351,70 +308,33 @@ class DerivedSolver:
 
     def _points_resultant(self, max_ext_degree):
         res, var = self._resultant_eliminant()
-        f, g = self.reduction.equations
-        keep = [i for i in range(3) if i != var]
         pts = []
-        for (u, v), L, k in self._binary_points(res, max_ext_degree):
-            embed = _embed_into(self.reduction.field, L)
-            fL = f.map_coefficients(embed, L)
-            gL = g.map_coefficients(embed, L)
-            vals = [None, None, None]
-            vals[keep[0]], vals[keep[1]] = u, v
-            fu = _restrict_to_line(fL, var, vals)
-            gu = _restrict_to_line(gL, var, vals)
+        for (a, b), L, k in self._binary_points(res, max_ext_degree):
+            # the fiber over [a:b] is cut out by the binary forms in
+            # (x_var, s) obtained by putting a*s and b*s for the other two
+            # variables; its points are the roots of their gcd at s = 1
+            line = PolyRing(L, 2)
+            images = [line.gen(1).scale(a), line.gen(1).scale(b)]
+            images.insert(var, line.gen(0))
+            embed = _embedder(self.reduction.field, L)
+            fu, gu = (BinaryForm.from_multipoly(
+                eq.map_coefficients(embed, L).substitute(line, images)).poly
+                for eq in self.reduction.equations)
             h = fu.gcd(gu)
             if h.degree < 1:
                 raise DegenerateInstance("eliminant root without a fiber point")
-            if h.degree == 1:
-                middles = [L.neg(L.div(h.coeffs[0], h.coeffs[1]))]
-            else:
-                middles = roots_in_field(h, self.rng)
-            for w in middles:
-                vals2 = list(vals)
-                vals2[var] = w
-                pts.append((tuple(vals2), L, k))
+            for w in roots_in_field(h, self.rng):
+                point = [a, b]
+                point.insert(var, w)
+                pts.append((tuple(point), L, k))
         return pts
 
     def _points_groebner(self, max_ext_degree):
         if self._groebner_state is None:
             self.count_and_certify()
-        basis, mat, chart_ring = self._groebner_state
-        F = chart_ring.field
-        raw, _ = solve_zero_dimensional(basis, self.rng, max_ext_degree=max_ext_degree)
-        pts = []
-        m = len(self.reduction.free)
-        for coords, L, k in raw:
-            embed = _embed_into(F, L)
-            w = list(coords) + [L.one]
-            free_pt = []
-            for i in range(m):
-                acc = L.zero
-                for j in range(m):
-                    c = mat[i][j]
-                    if c != F.zero:
-                        acc = L.add(acc, L.mul(embed(c), w[j]))
-                free_pt.append(acc)
-            pts.append((tuple(free_pt), L, k))
-        return pts
-
-
-def _restrict_to_line(poly, var, vals):
-    """Plug fixed values into all variables except ``var``; returns a
-    UniPoly in that variable."""
-    ring = poly.ring
-    L = ring.field
-    deg = max((m[var] for m in poly.terms), default=0)
-    coeffs = [L.zero] * (deg + 1)
-    for mon, c in poly.terms.items():
-        v = c
-        for i, e in enumerate(mon):
-            if i == var or not e:
-                continue
-            base = vals[i]
-            for _ in range(e):
-                v = L.mul(v, base)
-        coeffs[mon[var]] = L.add(coeffs[mon[var]], v)
-    return UniPoly(L, coeffs)
+        algebra, chart = self._groebner_state
+        raw, _ = solve_zero_dimensional(algebra, self.rng, max_ext_degree=max_ext_degree)
+        return [(_evaluate_forms(chart, coords, L), L, k) for coords, L, k in raw]
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +421,16 @@ def prepare_instance(md, field, seed, variant, retry_limit=8):
         f"retry limit {retry_limit} exhausted for {md} over {field!r}: {last}")
 
 
-def run_trial(md, variant, prime, seed, method="auto", retry_limit=8):
-    """One (prime, seed) counting trial; resamples on degeneracy."""
+def checked_prime_field(prime):
+    """GF(prime), refusing primes below MIN_PRIME."""
     if prime < MIN_PRIME:
         raise ValueError(f"prime {prime} below the configured minimum {MIN_PRIME}")
-    field = PrimeField(prime)
+    return PrimeField(prime)
+
+
+def run_trial(md, variant, prime, seed, method="auto", retry_limit=8):
+    """One (prime, seed) counting trial; resamples on degeneracy."""
+    field = checked_prime_field(prime)
     last = None
     for attempt in range(retry_limit):
         try:
@@ -579,8 +504,10 @@ def solve_and_verify(degrees, variant="secant", prime=DEFAULT_PRIMES[0],
     """Reconstruct the conics of one instance and run verify_conic on each.
 
     Returns (ci, results, trial_record) where results holds one
-    (conic, verified, orbit_degree) triple per Galois orbit of solutions;
-    the orbit degrees sum to the count."""
+    (conic, verified, orbit_degree) triple per Galois orbit of solutions
+    of degree at most ``max_ext_degree``.  Larger orbits are skipped, so
+    the orbit degrees can sum to less than the count: (2, 3) over
+    GF(31013) with seed 1 returns 2 of its 12 conics."""
     md = dimension_from_degrees(degrees)
     ci, ansatze, ds, solver, record = run_trial(md, variant, prime, seed,
                                                 method, retry_limit)

@@ -10,8 +10,7 @@ staircase tricks or F4-style batching.
 import itertools
 
 from .multipoly import MultiPoly, MONOMIAL_ORDERS, grevlex_key
-from .unipoly import is_squarefree, factor_squarefree
-from .fields import ExtensionField
+from .unipoly import is_squarefree, factor_squarefree, irreducible_root
 from . import linalg
 
 INFINITE = "infinite"
@@ -145,18 +144,14 @@ def groebner_basis(system, order="grevlex"):
     return reduced
 
 
-def leading_exponents(basis, order="grevlex"):
-    key = MONOMIAL_ORDERS[order] if isinstance(order, str) else order
-    return [g.leading(key)[0] for g in basis]
-
-
 def standard_monomials(basis, order="grevlex"):
     """Monomials outside the leading term ideal, or None if infinite."""
     if not basis:
         return None
     ring = basis[0].ring
     n = ring.nvars
-    lead = leading_exponents(basis, order)
+    key = MONOMIAL_ORDERS[order] if isinstance(order, str) else order
+    lead = [g.leading(key)[0] for g in basis]
     if any(all(e == 0 for e in m) for m in lead):
         return []
     # finiteness: every variable needs a pure power among the leading terms
@@ -183,13 +178,9 @@ def quotient_count(basis, order="grevlex"):
     return INFINITE if sm is None else len(sm)
 
 
-def multiplication_matrix(basis, var, order="grevlex", monomials=None):
-    """Matrix of multiplication by x_var on the quotient basis."""
-    key = MONOMIAL_ORDERS[order] if isinstance(order, str) else order
-    if monomials is None:
-        monomials = standard_monomials(basis, order)
-        if monomials is None:
-            raise PositiveDimensional("quotient is infinite dimensional")
+def multiplication_matrix(basis, var, monomials):
+    """Matrix of multiplication by x_var on the standard monomials of a
+    grevlex basis."""
     ring = basis[0].ring
     F = ring.field
     index = {m: i for i, m in enumerate(monomials)}
@@ -197,87 +188,85 @@ def multiplication_matrix(basis, var, order="grevlex", monomials=None):
     for m in monomials:
         shifted = list(m)
         shifted[var] += 1
-        nf = normal_form(MultiPoly(ring, {tuple(shifted): F.one}), basis, key)
+        nf = normal_form(MultiPoly(ring, {tuple(shifted): F.one}), basis)
         col = [F.zero] * len(monomials)
         for mm, c in nf.terms.items():
             col[index[mm]] = c
         cols.append(col)
     # cols are images; transpose into a conventional matrix
-    return [[cols[j][i] for j in range(len(monomials))]
-            for i in range(len(monomials))]
+    return linalg.transpose(cols)
 
 
-def eliminant_of_linear_form(basis, lam, order="grevlex"):
+class QuotientAlgebra:
+    """The quotient algebra of a zero-dimensional ideal, built once from
+    its grevlex Groebner basis: the standard monomials and the matrix of
+    multiplication by each variable on them."""
+
+    def __init__(self, basis):
+        monomials = standard_monomials(basis)
+        if monomials is None:
+            raise PositiveDimensional("quotient is infinite dimensional")
+        self.field = basis[0].ring.field
+        self.monomials = monomials
+        self.mats = [multiplication_matrix(basis, v, monomials)
+                     for v in range(basis[0].ring.nvars)]
+
+    def linear_form_matrix(self, lam):
+        """Matrix of multiplication by the linear form sum lam[v] x_v."""
+        F = self.field
+        n = len(self.monomials)
+        total = [[F.zero] * n for _ in range(n)]
+        for mat, c in zip(self.mats, lam):
+            if c == F.zero:
+                continue
+            for i in range(n):
+                row, out = mat[i], total[i]
+                for j in range(n):
+                    if row[j] != F.zero:
+                        out[j] = F.add(out[j], F.mul(c, row[j]))
+        return total
+
+
+def eliminant_of_linear_form(algebra, lam):
     """Characteristic polynomial of multiplication by the linear form
     with coefficient vector ``lam`` on the quotient algebra."""
-    monomials = standard_monomials(basis, order)
-    if monomials is None:
-        raise PositiveDimensional("quotient is infinite dimensional")
-    ring = basis[0].ring
-    F = ring.field
-    n = len(monomials)
-    total = [[F.zero] * n for _ in range(n)]
-    for v, c in enumerate(lam):
-        if c == F.zero:
-            continue
-        mat = multiplication_matrix(basis, v, order, monomials)
-        for i in range(n):
-            for j in range(n):
-                if mat[i][j] != F.zero:
-                    total[i][j] = F.add(total[i][j], F.mul(c, mat[i][j]))
-    return linalg.charpoly(F, total)
+    return linalg.charpoly(algebra.field, algebra.linear_form_matrix(lam))
 
 
-def _lift_matrix(mat, embed, L):
-    return [[embed(c) for c in row] for row in mat]
-
-
-def solve_zero_dimensional(basis, rng, order="grevlex", max_ext_degree=6):
+def solve_zero_dimensional(algebra, rng, max_ext_degree=6):
     """Points of a zero-dimensional radical system over a finite field.
 
     Returns (points, eliminant) where each point is (coords, field, degree):
     coords lie in GF(p) when degree == 1 and otherwise in an explicit
     GF(p^degree) built from an irreducible factor of the eliminant.
-    Extension points are reported once per Galois orbit.
+    Extension points are reported once per Galois orbit, and only for
+    orbits of degree at most ``max_ext_degree``: the degrees of the
+    returned points sum to the number of solutions only when no orbit is
+    larger.
 
     Requires the eliminant of a random linear form to be squarefree, which
     certifies that all solutions are simple and separated.
     """
-    monomials = standard_monomials(basis, order)
-    if monomials is None:
-        raise PositiveDimensional("quotient is infinite dimensional")
-    ring = basis[0].ring
-    F = ring.field
-    n = ring.nvars
+    F = algebra.field
+    n = len(algebra.mats)
     lam = [F.random_element(rng) for _ in range(n)]
-    mats = [multiplication_matrix(basis, v, order, monomials) for v in range(n)]
-    dim = len(monomials)
-    total = [[F.zero] * dim for _ in range(dim)]
-    for v, c in enumerate(lam):
-        for i in range(dim):
-            row = mats[v][i]
-            for j in range(dim):
-                if row[j] != F.zero:
-                    total[i][j] = F.add(total[i][j], F.mul(c, row[j]))
+    total = algebra.linear_form_matrix(lam)
     chi = linalg.charpoly(F, total)
     if not is_squarefree(chi):
         raise ValueError("eliminant is not squarefree; points are not simple")
-    one_index = monomials.index((0,) * n)
+    one_index = algebra.monomials.index((0,) * n)
+    # coordinate x_v at a point is the eigenvector paired with the normal
+    # form of x_v, which is the column of the constant monomial
+    normal_forms = [[row[one_index] for row in mat] for mat in algebra.mats]
     points = []
     for factor in factor_squarefree(chi, rng):
         k = factor.degree
         if k > max_ext_degree:
             continue
-        if k == 1:
-            L = F
-            embed = lambda c: c
-            eigval = F.neg(factor.coeffs[0])
-        else:
-            L = ExtensionField(F.p, list(factor.coeffs))
-            embed = L.from_base
-            eigval = L.generator()
-        tL = _lift_matrix(total, embed, L)
-        for i in range(dim):
+        eigval, L = irreducible_root(factor)
+        embed = L.from_base if k > 1 else (lambda c: c)
+        tL = [[embed(c) for c in row] for row in total]
+        for i in range(len(tL)):
             tL[i][i] = L.sub(tL[i][i], eigval)
         # left eigenvector: kernel of the transpose
         kern = linalg.nullspace(L, linalg.transpose(tL))
@@ -289,12 +278,10 @@ def solve_zero_dimensional(basis, rng, order="grevlex", max_ext_degree=6):
         scale = L.inv(v[one_index])
         v = [L.mul(x, scale) for x in v]
         coords = []
-        for var in range(n):
-            matL = _lift_matrix(mats[var], embed, L)
-            col = [row[one_index] for row in matL]
+        for col in normal_forms:
             acc = L.zero
             for x, y in zip(v, col):
-                acc = L.add(acc, L.mul(x, y))
+                acc = L.add(acc, L.mul(x, embed(y)))
             coords.append(acc)
         points.append((tuple(coords), L, k))
     return points, chi

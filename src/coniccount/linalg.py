@@ -13,34 +13,6 @@ def identity(field, n):
             for i in range(n)]
 
 
-def mat_mul(field, a, b):
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    out = [[field.zero] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c != field.zero:
-                bt = b[t]
-                for j in range(m):
-                    if bt[j] != field.zero:
-                        oi[j] = field.add(oi[j], field.mul(c, bt[j]))
-    return out
-
-
-def mat_vec(field, a, v):
-    out = []
-    for row in a:
-        acc = field.zero
-        for c, x in zip(row, v):
-            if c != field.zero and x != field.zero:
-                acc = field.add(acc, field.mul(c, x))
-        out.append(acc)
-    return out
-
-
 def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
@@ -80,10 +52,10 @@ def rank(field, mat):
     return len(rref(field, mat)[1])
 
 
-def nullspace(field, mat, ncols=None):
+def nullspace(field, mat):
     """Basis of the right kernel, as a list of column vectors."""
     if not mat:
-        return identity(field, ncols) if ncols else []
+        return []
     ncols = len(mat[0])
     rows, pivots = rref(field, mat)
     free = [j for j in range(ncols) if j not in pivots]
@@ -95,19 +67,6 @@ def nullspace(field, mat, ncols=None):
             v[c] = field.neg(rows[r][j])
         basis.append(v)
     return basis
-
-
-def solve(field, mat, rhs):
-    """One solution of mat*x = rhs, or None if inconsistent."""
-    aug = [list(r) + [b] for r, b in zip(mat, rhs)]
-    rows, pivots = rref(field, aug)
-    ncols = len(mat[0]) if mat else 0
-    if ncols in pivots:
-        return None
-    x = [field.zero] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][-1]
-    return x
 
 
 def charpoly(field, mat):

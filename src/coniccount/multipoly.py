@@ -288,11 +288,6 @@ class MultiPoly:
         F = self.ring.field
         return [[list(m), F.element_to_json(c)] for m, c in self.sorted_terms()]
 
-    @classmethod
-    def from_json(cls, ring, data):
-        F = ring.field
-        return ring.from_dict({tuple(m): F.element_from_json(c) for m, c in data})
-
     def __repr__(self):
         if not self.terms:
             return "0"

@@ -8,16 +8,7 @@ constant.
 """
 
 from .multipoly import MultiPoly, PolyRing
-
-
-def _binary_coeffs(f, var, ring_out):
-    """Scalar coefficient list of a binary form along the eliminated
-    variable, low degree first."""
-    deg = f.degree()
-    out = [ring_out.zero()] * (deg + 1)
-    for m, c in f.terms.items():
-        out[m[var]] = ring_out.constant(c)
-    return out
+from .unipoly import BinaryForm
 
 
 def _coeff_polys(f, var, ring_out, keep):
@@ -72,8 +63,8 @@ def sylvester_matrix(f, g, var):
     keep = [i for i in range(ring.nvars) if i != var]
     ring_out = PolyRing(ring.field, len(keep), tuple(ring.names[i] for i in keep))
     if ring.nvars == 2 and f.is_homogeneous() and g.is_homogeneous():
-        fc = _binary_coeffs(f, var, ring_out)
-        gc = _binary_coeffs(g, var, ring_out)
+        fc = [ring_out.constant(c) for c in BinaryForm.from_multipoly(f, var).coeffs]
+        gc = [ring_out.constant(c) for c in BinaryForm.from_multipoly(g, var).coeffs]
     else:
         fc = _coeff_polys(f, var, ring_out, keep)
         gc = _coeff_polys(g, var, ring_out, keep)
@@ -82,16 +73,12 @@ def sylvester_matrix(f, g, var):
         raise ValueError("neither operand involves the eliminated variable")
     size = m + n
     rows = []
-    for i in range(n):
-        row = [ring_out.zero()] * size
-        for j, c in enumerate(reversed(fc)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [ring_out.zero()] * size
-        for j, c in enumerate(reversed(gc)):
-            row[i + j] = c
-        rows.append(row)
+    # deg(g) shifted copies of f's coefficients, then deg(f) copies of g's
+    for coeffs, copies in ((fc, n), (gc, m)):
+        for i in range(copies):
+            row = [ring_out.zero()] * size
+            row[i:i + len(coeffs)] = reversed(coeffs)
+            rows.append(row)
     return rows, ring_out
 
 

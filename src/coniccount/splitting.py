@@ -23,10 +23,10 @@ import random
 from dataclasses import dataclass
 
 from . import linalg
-from .conic_system import DegenerateInstance
+from .conic_system import DegenerateInstance, DerivedSystem, _embedder
 from .counting import DerivedSolver
-from .conic_system import DerivedSystem
 from .multipoly import PolyRing
+from .unipoly import BinaryForm, binary_forms_common_root
 
 
 class ComplexInvariantError(ValueError):
@@ -36,120 +36,6 @@ class ComplexInvariantError(ValueError):
 class SplittingError(RuntimeError):
     """The h^0 profile matches no splitting; implementation or genericity
     failure."""
-
-
-class BinaryForm:
-    """Homogeneous form in (u, v); coeffs[j] multiplies u^(deg-j) v^j."""
-
-    __slots__ = ("field", "degree", "coeffs")
-
-    def __init__(self, field, degree, coeffs):
-        if len(coeffs) != degree + 1:
-            raise ValueError("coefficient list does not match the degree")
-        self.field = field
-        self.degree = degree
-        self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def zero(cls, field, degree):
-        return cls(field, degree, [field.zero] * (degree + 1))
-
-    @classmethod
-    def monomial(cls, field, degree, v_exp, c=None):
-        coeffs = [field.zero] * (degree + 1)
-        coeffs[v_exp] = c if c is not None else field.one
-        return cls(field, degree, coeffs)
-
-    def is_zero(self):
-        return all(c == self.field.zero for c in self.coeffs)
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __eq__(self, other):
-        return (isinstance(other, BinaryForm) and other.field == self.field
-                and other.degree == self.degree and other.coeffs == self.coeffs)
-
-    def __add__(self, other):
-        F = self.field
-        if other.degree != self.degree:
-            raise ValueError("degree mismatch")
-        return BinaryForm(F, self.degree,
-                          [F.add(a, b) for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        F = self.field
-        return BinaryForm(F, self.degree, [F.neg(c) for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        F = self.field
-        out = [F.zero] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if a != F.zero:
-                for j, b in enumerate(other.coeffs):
-                    if b != F.zero:
-                        out[i + j] = F.add(out[i + j], F.mul(a, b))
-        return BinaryForm(F, self.degree + other.degree, out)
-
-    def scale(self, c):
-        F = self.field
-        return BinaryForm(F, self.degree, [F.mul(a, c) for a in self.coeffs])
-
-    def evaluate(self, u, v):
-        from .fields import field_pow
-        F = self.field
-        acc = F.zero
-        for j, c in enumerate(self.coeffs):
-            if c != F.zero:
-                term = F.mul(c, field_pow(F, u, self.degree - j))
-                term = F.mul(term, field_pow(F, v, j))
-                acc = F.add(acc, term)
-        return acc
-
-    def __repr__(self):
-        F = self.field
-        parts = [f"({c})*u^{self.degree - j}v^{j}"
-                 for j, c in enumerate(self.coeffs) if c != F.zero]
-        return " + ".join(parts) if parts else "0"
-
-
-def _binary_gcd(f, g):
-    """Gcd of two nonzero binary forms, returned as a binary form."""
-    F = f.field
-
-    def split(form):
-        lo = next(j for j, c in enumerate(form.coeffs) if c != F.zero)
-        hi = max(j for j, c in enumerate(form.coeffs) if c != F.zero)
-        return lo, form.degree - hi, list(form.coeffs[lo:hi + 1])
-
-    vlo_f, ulo_f, core_f = split(f)
-    vlo_g, ulo_g, core_g = split(g)
-    from .unipoly import UniPoly
-    h = UniPoly(F, core_f).gcd(UniPoly(F, core_g))
-    v_exp = min(vlo_f, vlo_g)
-    u_exp = min(ulo_f, ulo_g)
-    deg = h.degree + v_exp + u_exp
-    coeffs = [F.zero] * (deg + 1)
-    for j, c in enumerate(h.coeffs):
-        coeffs[v_exp + j] = c
-    return BinaryForm(F, deg, coeffs)
-
-
-def binary_forms_common_root(forms):
-    """Whether a list of binary forms has a common projective root (in the
-    algebraic closure).  Zero forms are ignored; an all-zero list does."""
-    nonzero = [f for f in forms if f]
-    if not nonzero:
-        return True
-    g = nonzero[0]
-    for f in nonzero[1:]:
-        g = _binary_gcd(g, f)
-        if g.degree == 0:
-            return False
-    return g.degree > 0
 
 
 def compose_in_forms(poly, forms):
@@ -194,7 +80,6 @@ class RationalCurveMap:
         if binary_forms_common_root(self.coords):
             raise ValueError("coordinate forms share a projective root")
         if ci is not None:
-            from .conic_system import _embedder
             embed = _embedder(ci.ring.field, self.field)
             for s in ci.sections:
                 sL = s.map_coefficients(embed, self.field)
@@ -267,7 +152,6 @@ def _form_det(field, mat):
 def euler_jacobian_complex(ci, curve):
     """The tangent-bundle presentation along the curve: coordinate forms
     into the Jacobian of the defining sections."""
-    from .conic_system import _embedder
     md = ci.md
     L = curve.field
     e = curve.degree
@@ -319,7 +203,7 @@ def _map_matrix(field, basis_src, basis_dst, deg_src, deg_dst, entries, h1):
             form = entries(cdst, c)
             if form is None or not form:
                 continue
-            for j, coeff in enumerate(form.coeffs):
+            for j, coeff in enumerate(form.poly.coeffs):
                 if coeff == field.zero:
                     continue
                 b2 = b + j
@@ -392,6 +276,15 @@ def hypercohomology_dims(cx, twist=0):
     return h0, h1
 
 
+def _mul_into(F, acc, cochain, form):
+    """acc += cochain * form, on Laurent cochains keyed by v-exponent."""
+    for b, xv in cochain.items():
+        for j, fc in enumerate(form.poly.coeffs):
+            if fc != F.zero:
+                acc[b + j] = F.add(acc.get(b + j, F.zero), F.mul(xv, fc))
+    return acc
+
+
 def _d2_image(cx, F, prev, mid, nxt, h1_prev, h0_next, vec):
     """Zig-zag: lift a kernel class through the Cech bicomplex and push it
     into H^0 of the last term."""
@@ -403,13 +296,7 @@ def _d2_image(cx, F, prev, mid, nxt, h1_prev, h0_next, vec):
     # alpha * x per mid component, split into chart-regular halves
     s0 = []
     for c in range(len(mid)):
-        form = cx.alpha[c]
-        acc = {}
-        for b, xv in x.items():
-            for j, fc in enumerate(form.coeffs):
-                if fc != F.zero:
-                    b2 = b + j
-                    acc[b2] = F.add(acc.get(b2, F.zero), F.mul(xv, fc))
+        acc = _mul_into(F, {}, x, cx.alpha[c])
         part0 = {}
         for b2, cval in acc.items():
             if cval == F.zero:
@@ -426,12 +313,7 @@ def _d2_image(cx, F, prev, mid, nxt, h1_prev, h0_next, vec):
     for i in range(len(nxt)):
         acc = {}
         for c in range(len(mid)):
-            form = cx.beta[i][c]
-            for b, sv in s0[c].items():
-                for j, fc in enumerate(form.coeffs):
-                    if fc != F.zero:
-                        b2 = b + j
-                        acc[b2] = F.add(acc.get(b2, F.zero), F.mul(sv, fc))
+            _mul_into(F, acc, s0[c], cx.beta[i][c])
         for b2, cval in acc.items():
             if cval == F.zero:
                 continue

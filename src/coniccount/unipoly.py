@@ -1,5 +1,6 @@
 """Univariate polynomials over an exact field: gcd, squarefree data,
-and factorization over prime fields.
+and factorization over prime fields; and binary forms, kept as a
+univariate polynomial plus a degree.
 
 Coefficients are stored dense, low degree first, with no trailing zeros.
 Factorization (distinct-degree + equal-degree splitting) is only needed
@@ -19,10 +20,6 @@ class UniPoly:
         self.coeffs = tuple(coeffs)
 
     @classmethod
-    def from_coeffs(cls, field, coeffs):
-        return cls(field, list(coeffs))
-
-    @classmethod
     def zero(cls, field):
         return cls(field, [])
 
@@ -33,9 +30,6 @@ class UniPoly:
     @classmethod
     def x(cls, field):
         return cls(field, [field.zero, field.one])
-
-    def is_zero(self):
-        return not self.coeffs
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -157,19 +151,6 @@ class UniPoly:
             n >>= 1
         return result
 
-    def shift_root(self):
-        """Drop the root at zero: self / x, assuming x divides self."""
-        if self.coeffs and self.coeffs[0] != self.field.zero:
-            raise ValueError("constant term is nonzero")
-        return UniPoly(self.field, list(self.coeffs[1:]))
-
-    def map_field(self, func, new_field):
-        return UniPoly(new_field, [func(c) for c in self.coeffs])
-
-    def to_json(self):
-        F = self.field
-        return [F.element_to_json(c) for c in self.coeffs]
-
     def __repr__(self):
         if not self.coeffs:
             return "0"
@@ -260,6 +241,16 @@ def factor_squarefree(f, rng):
     return out
 
 
+def irreducible_root(f):
+    """(root, field) of an irreducible f over GF(p): the root lies in
+    GF(p) when f is linear, else it is the class of t in GF(p)[t]/(f)."""
+    F = f.field
+    if f.degree == 1:
+        return F.neg(F.div(f.coeffs[0], f.coeffs[1])), F
+    L = ExtensionField(F.p, list(f.monic().coeffs))
+    return L.generator(), L
+
+
 def roots_in_field(f, rng):
     """Roots of f lying in its own coefficient field."""
     F = f.field
@@ -273,3 +264,125 @@ def roots_in_field(f, rng):
         roots.append(F.neg(h.coeffs[0]))
     roots.sort()
     return roots
+
+
+class BinaryForm:
+    """Homogeneous form of degree ``degree`` in (u, v), stored as its
+    dehomogenization ``poly`` in t = v/u; ``coeffs[j]`` multiplies
+    u^(degree-j) v^j.  The root at infinity, [u:v] = [0:1], has
+    multiplicity ``degree - poly.degree``."""
+
+    __slots__ = ("poly", "degree")
+
+    def __init__(self, field, degree, coeffs):
+        if len(coeffs) != degree + 1:
+            raise ValueError("coefficient list does not match the degree")
+        self.poly = UniPoly(field, list(coeffs))
+        self.degree = degree
+
+    @classmethod
+    def from_poly(cls, poly, degree):
+        """The form of the given degree whose dehomogenization is poly."""
+        form = cls.__new__(cls)
+        form.poly = poly
+        form.degree = degree
+        return form
+
+    @classmethod
+    def zero(cls, field, degree):
+        return cls.from_poly(UniPoly.zero(field), degree)
+
+    @classmethod
+    def from_multipoly(cls, f, var=0):
+        """A homogeneous MultiPoly in two variables as a binary form, with
+        v = x_var and u the other variable."""
+        F = f.ring.field
+        deg = f.degree()
+        coeffs = [F.zero] * (deg + 1)
+        for mon, c in f.terms.items():
+            coeffs[mon[var]] = c
+        return cls(F, deg, coeffs)
+
+    @property
+    def field(self):
+        return self.poly.field
+
+    @property
+    def coeffs(self):
+        return self.poly.coeffs + (self.field.zero,) * (self.degree - self.poly.degree)
+
+    @property
+    def infinity_multiplicity(self):
+        return self.degree - self.poly.degree
+
+    def __bool__(self):
+        return bool(self.poly)
+
+    def __eq__(self, other):
+        return (isinstance(other, BinaryForm) and other.degree == self.degree
+                and other.poly == self.poly)
+
+    def __add__(self, other):
+        if other.degree != self.degree:
+            raise ValueError("degree mismatch")
+        return BinaryForm.from_poly(self.poly + other.poly, self.degree)
+
+    def __neg__(self):
+        return BinaryForm.from_poly(-self.poly, self.degree)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        return BinaryForm.from_poly(self.poly * other.poly, self.degree + other.degree)
+
+    def scale(self, c):
+        return BinaryForm.from_poly(self.poly.scale(c), self.degree)
+
+    def gcd(self, other):
+        """Monic greatest common divisor of two nonzero forms."""
+        h = self.poly.gcd(other.poly)
+        inf = min(self.infinity_multiplicity, other.infinity_multiplicity)
+        return BinaryForm.from_poly(h, h.degree + inf)
+
+    def distinct_roots(self):
+        """(number of distinct projective roots, squarefree flag) of a
+        nonzero form; the flag covers the root at infinity too."""
+        inf = self.infinity_multiplicity
+        return (squarefree_root_count(self.poly) + (1 if inf else 0),
+                is_squarefree(self.poly) and inf <= 1)
+
+    def factors(self, rng):
+        """Irreducible factors of a squarefree form over a finite field:
+        u first when the root at infinity is present, then the monic
+        factors of poly in factor_squarefree's order."""
+        F = self.field
+        out = [BinaryForm(F, 1, [F.one, F.zero])] if self.infinity_multiplicity else []
+        return out + [BinaryForm.from_poly(h, h.degree)
+                      for h in factor_squarefree(self.poly, rng)]
+
+    def root(self):
+        """(u, v) of one root of an irreducible form over GF(p), and the
+        field it lies in, as for irreducible_root."""
+        F = self.field
+        if self.infinity_multiplicity:
+            return (F.zero, F.one), F
+        v, L = irreducible_root(self.poly)
+        return (L.one, v), L
+
+    def __repr__(self):
+        parts = [f"({c})*u^{self.degree - j}v^{j}"
+                 for j, c in enumerate(self.poly.coeffs) if c != self.field.zero]
+        return " + ".join(parts) or "0"
+
+
+def binary_forms_common_root(forms):
+    """Whether a list of binary forms has a common projective root (in the
+    algebraic closure).  Zero forms are ignored; an all-zero list does."""
+    g = None
+    for f in forms:
+        if f:
+            g = f if g is None else g.gcd(f)
+            if g.degree == 0:
+                return False
+    return True

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -88,3 +89,44 @@ def test_usage_error_exit_two():
 def test_small_prime_rejected():
     res = run_cli("count", "--degrees", "3", "--primes", "101", "--seeds", "0")
     assert res.returncode == 2
+    res = run_cli("splitting", "--degrees", "3", "--curve", "line",
+                  "--primes", "101", "--seeds", "0")
+    assert res.returncode == 2
+
+
+def test_splitting_fails_on_a_non_general_instance(tmp_path):
+    # a rare (2,2,2) instance: count 3 with a non-squarefree eliminant and
+    # two conics splitting as (2,2,1,1,0)
+    out = tmp_path / "split.json"
+    res = run_cli("splitting", "--degrees", "2,2,2", "--primes", "31013",
+                  "--seeds", "77756", "--out", str(out))
+    assert res.returncode == 5, res.stdout + res.stderr
+    assert "FAIL:" in res.stdout
+    data = json.loads(out.read_text())
+    assert not all(e["quasi_line"] for e in data["entries"])
+
+
+# sha256 of each JSON report as written by the code before binary forms
+# and the quotient algebra got one representation each
+GOLDEN = [
+    (("count", "--degrees", "2,3", "--seeds", "0"),
+     "d303ae524f673897375109da741a61f6dd97c371cca192f686c0157fa3eb9f29"),
+    (("count", "--degrees", "2,2", "--seeds", "0"),
+     "a7da9cb0228b009641e4c3ffe4ab9df3e0068ae458e30e4dd6b9631111e09eaa"),
+    (("count", "--degrees", "3", "--variant", "tangent", "--seeds", "0"),
+     "4f72da91b81e217b7ddd46eb41b11df0024273cea4aa05fa79981bb6548d3c36"),
+    (("splitting", "--degrees", "2,3", "--seeds", "2"),
+     "ab669a9e56f2d6164e6a09fca589c4fb22a3bf162caea3d1972b6f2c298edf32"),
+    (("splitting", "--degrees", "3", "--seeds", "0"),
+     "c2ddf98a88bdbb34fff6acd51213a323380485133a90aae9aa6e829cfea07d0c"),
+    (("splitting", "--degrees", "3", "--curve", "line", "--seeds", "0"),
+     "00da1e26e89d4587755e26313daa266570e738227330f6773379494a0a4af0de"),
+]
+
+
+def test_reports_match_golden_digests(tmp_path):
+    out = tmp_path / "report.json"
+    for args, digest in GOLDEN:
+        res = run_cli(*args, "--primes", "10007", "--out", str(out))
+        assert res.returncode == 0, res.stdout + res.stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, args

@@ -9,7 +9,7 @@ from coniccount.multipoly import PolyRing
 from coniccount.groebner import (groebner_basis, quotient_count, INFINITE,
                                  eliminant_of_linear_form,
                                  solve_zero_dimensional, normal_form,
-                                 PositiveDimensional)
+                                 PositiveDimensional, QuotientAlgebra)
 
 
 def _circle_line(field):
@@ -70,7 +70,7 @@ def test_eliminant_single_point():
     R = PolyRing(QQ, 2, ("x", "y"))
     x, y = R.gen(0), R.gen(1)
     gb = groebner_basis([x - R.one(), y - R.constant(Fraction(2))])
-    el = eliminant_of_linear_form(gb, [Fraction(1), Fraction(1)])
+    el = eliminant_of_linear_form(QuotientAlgebra(gb), [Fraction(1), Fraction(1)])
     # single eigenvalue 3: t - 3
     assert el.coeffs == (Fraction(-3), Fraction(1))
 
@@ -79,14 +79,14 @@ def test_eliminant_two_points():
     R = PolyRing(QQ, 2, ("x", "y"))
     x, y = R.gen(0), R.gen(1)
     gb = groebner_basis([x * x - R.one(), y])
-    el = eliminant_of_linear_form(gb, [Fraction(1), Fraction(0)])
+    el = eliminant_of_linear_form(QuotientAlgebra(gb), [Fraction(1), Fraction(0)])
     assert el.coeffs == (Fraction(-1), Fraction(0), Fraction(1))
 
 
 def test_eliminant_circle_line():
     R, gens = _circle_line(QQ)
     gb = groebner_basis(gens)
-    el = eliminant_of_linear_form(gb, [Fraction(1), Fraction(0)])
+    el = eliminant_of_linear_form(QuotientAlgebra(gb), [Fraction(1), Fraction(0)])
     # roots x = +-1/sqrt(2): t^2 - 1/2
     assert el.coeffs == (Fraction(-1, 2), Fraction(0), Fraction(1))
 
@@ -105,14 +105,14 @@ def test_eliminant_degree_matches_quotient():
         if qc == INFINITE:
             continue
         lam = [F.random_element(rng) for _ in range(2)]
-        assert eliminant_of_linear_form(gb, lam).degree == qc
+        assert eliminant_of_linear_form(QuotientAlgebra(gb), lam).degree == qc
 
 
 def test_eliminant_requires_zero_dimensional():
     R = PolyRing(QQ, 2)
     gb = groebner_basis([R.gen(0) ** 2])
     with pytest.raises(PositiveDimensional):
-        eliminant_of_linear_form(gb, [Fraction(1), Fraction(1)])
+        eliminant_of_linear_form(QuotientAlgebra(gb), [Fraction(1), Fraction(1)])
 
 
 def test_normal_form_is_zero_on_ideal_members():
@@ -157,7 +157,7 @@ def test_solve_zero_dimensional_back_substitutes():
     x, y = R.gen(0), R.gen(1)
     gens = [x * x + y * y - R.constant(5), x - y - R.one()]
     gb = groebner_basis(gens)
-    pts, chi = solve_zero_dimensional(gb, random.Random(0))
+    pts, chi = solve_zero_dimensional(QuotientAlgebra(gb), random.Random(0))
     assert chi.degree == 2
     found = set()
     for coords, L, k in pts:

@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from coniccount.fields import QQ, PrimeField, ExtensionField
-from coniccount.unipoly import (UniPoly, squarefree_root_count, is_squarefree,
-                                squarefree_part, factor_squarefree, roots_in_field)
+from coniccount.multipoly import PolyRing
+from coniccount.unipoly import (UniPoly, BinaryForm, squarefree_root_count,
+                                is_squarefree, squarefree_part, factor_squarefree,
+                                roots_in_field, binary_forms_common_root)
 
 
 def _from_roots(field, roots):
@@ -100,3 +102,87 @@ def test_squarefree_part_over_extension():
     f = (t - a) * (t - a)
     assert squarefree_part(f) == (t - a)
     assert not is_squarefree(f)
+
+
+# binary forms: coeffs[j] multiplies u^(deg-j) v^j; infinity is [u:v] = [0:1]
+
+BF = PrimeField(10007)
+U = BinaryForm(BF, 1, [1, 0])
+V = BinaryForm(BF, 1, [0, 1])
+
+
+def _linear(r):
+    """v - r*u, vanishing at [u:v] = [1:r]."""
+    return V - U.scale(r)
+
+
+def _nonsquare(F):
+    return next(c for c in range(2, 100) if pow(c, (F.p - 1) // 2, F.p) == F.p - 1)
+
+
+def test_binary_form_keeps_degree_and_coefficients():
+    f = U * U * V
+    assert f.degree == 3 and f.coeffs == (0, 1, 0, 0)
+    assert f.infinity_multiplicity == 2 and f.poly.degree == 1
+    assert BinaryForm.zero(BF, 2).coeffs == (0, 0, 0) and not BinaryForm.zero(BF, 2)
+    assert U + V == BinaryForm(BF, 1, [1, 1])
+    with pytest.raises(ValueError):
+        U + U * V
+    with pytest.raises(ValueError):
+        BinaryForm(BF, 2, [1, 0])
+
+
+@pytest.mark.parametrize("inf_mult", [0, 1, 2])
+def test_binary_form_roots_with_root_at_infinity(inf_mult):
+    rng = random.Random(inf_mult)
+    c = _nonsquare(BF)
+    quad = V * V - (U * U).scale(c)           # irreducible over GF(p)
+    f = _linear(2) * _linear(3) * quad
+    for _ in range(inf_mult):
+        f = f * U
+    assert f.infinity_multiplicity == inf_mult
+    distinct, squarefree = f.distinct_roots()
+    assert distinct == 4 + (1 if inf_mult else 0)
+    assert squarefree == (inf_mult <= 1)
+    factors = f.factors(rng)
+    # finite factors come monic, sorted by degree, then coefficients
+    expected = [U] * (1 if inf_mult else 0) + [_linear(3), _linear(2), quad]
+    assert factors == expected
+    for factor in factors:
+        (u, v), L = factor.root()
+        if factor == U:
+            assert (u, v) == (0, 1) and L == BF
+        elif factor.degree == 1:
+            assert L == BF and u == 1 and factor.poly.evaluate(v) == 0
+        else:
+            assert L.degree == 2 and L.mul(v, v) == L.from_base(c)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_binary_form_with_a_factor_v_power(k):
+    f = _linear(5) * U
+    for _ in range(k):
+        f = f * V
+    # roots [1:0] (v^k), [1:5] and [0:1]
+    assert f.distinct_roots() == (3, k == 1)
+    if k == 1:
+        assert f.factors(random.Random(0)) == [U, V, _linear(5)]
+    g = U * U * _linear(7)
+    for _ in range(k + 1):
+        g = g * V
+    h = f.gcd(g)
+    assert h.degree == k + 1 and h.infinity_multiplicity == 1
+    assert binary_forms_common_root([f, g])
+    assert not binary_forms_common_root([_linear(5), _linear(7), f])
+
+
+def test_binary_form_from_multipoly():
+    R = PolyRing(BF, 2, ("x", "y"))
+    x, y = R.gen(0), R.gen(1)
+    f = x * x * y + (y * y * y).scale(4)
+    # v = x: coefficients along x, low degree first
+    assert BinaryForm.from_multipoly(f).coeffs == (4, 0, 1, 0)
+    assert BinaryForm.from_multipoly(f, 1).coeffs == (0, 1, 0, 4)
+    # y (x^2 + 4 y^2): simple roots, one of them at infinity
+    assert BinaryForm.from_multipoly(f).distinct_roots() == (3, True)
+    assert BinaryForm.from_multipoly(x * x * y).distinct_roots() == (2, False)
