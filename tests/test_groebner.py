@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
+import sympy
 
 from coniccount.fields import QQ, PrimeField
-from coniccount.multipoly import PolyRing
+from coniccount.multipoly import PolyRing, grevlex_key
 from coniccount.groebner import (groebner_basis, quotient_count, INFINITE,
                                  eliminant_of_linear_form,
                                  solve_zero_dimensional, normal_form,
@@ -54,7 +55,8 @@ def test_quotient_count_infinite():
 
 
 def test_quotient_count_invariance():
-    # permutation of generators and order change leave the count alone
+    # permutation of generators and order change leave the count alone;
+    # the lex count comes from sympy's lex basis
     F = PrimeField(10007)
     R = PolyRing(F, 3, ("x", "y", "z"))
     x, y, z = R.gen(0), R.gen(1), R.gen(2)
@@ -62,8 +64,22 @@ def test_quotient_count_invariance():
     counts = set()
     for perm in permutations(gens):
         counts.add(quotient_count(groebner_basis(list(perm))))
-    counts.add(quotient_count(groebner_basis(gens, order="lex"), order="lex"))
+    counts.add(_lex_standard_monomial_count(gens))
     assert counts == {8}
+
+
+def _lex_standard_monomial_count(gens):
+    """Monomials outside the lex leading term ideal of sympy's lex basis
+    of a zero-dimensional ideal."""
+    syms = sympy.symbols(f"x0:{gens[0].ring.nvars}")
+    polys = [sympy.Poly.from_dict(g.terms, *syms, modulus=g.ring.field.p) for g in gens]
+    # a Poly lists its terms in lex order, the leading one first
+    leads = [p.monoms()[0] for p in sympy.groebner(polys, *syms, order="lex",
+                                                   modulus=gens[0].ring.field.p).polys]
+    caps = [min(m[v] for m in leads if m[v] and sum(m) == m[v])
+            for v in range(len(syms))]
+    return sum(1 for exps in product(*(range(c) for c in caps))
+               if not any(all(e >= l for e, l in zip(exps, m)) for m in leads))
 
 
 def test_eliminant_single_point():
@@ -166,3 +182,74 @@ def test_solve_zero_dimensional_back_substitutes():
             assert g.evaluate(list(coords)) == F.zero
         found.add(coords)
     assert found == {(2, 1), (F.p - 1, F.p - 2)}
+
+
+# -- independent oracle: sympy's reduced grevlex basis -----------------------
+
+
+def _random_system(rng, R, draw, max_degree):
+    """Sparse random generators of degree at most max_degree, mostly as
+    many as variables (a finite quotient), sometimes one fewer."""
+    gens = []
+    while len(gens) < max(rng.choice([R.nvars - 1, R.nvars, R.nvars]), 1):
+        terms = {}
+        for d in range(rng.randrange(1, max_degree + 1) + 1):
+            for m in R.monomials_of_degree(d):
+                if rng.random() < 0.4:
+                    terms[m] = draw()
+        p = R.from_dict(terms)
+        if p.degree() > 0:
+            gens.append(p)
+    return gens
+
+
+def _sympy_basis(gens, order="grevlex"):
+    """sympy's reduced basis, each element divided by its coefficient at
+    the grevlex leading monomial (sympy's own ``monic`` divides by the
+    lex one), as lists of (monomial, coefficient) sorted by monomial."""
+    R = gens[0].ring
+    F = R.field
+    syms = sympy.symbols(f"x0:{R.nvars}")
+    if F == QQ:
+        opts = {"domain": "QQ"}
+        to_sympy = lambda c: sympy.Rational(c.numerator, c.denominator)
+        from_sympy = lambda c: Fraction(int(c.p), int(c.q))
+    else:
+        opts = {"modulus": F.p}
+        to_sympy = int
+        from_sympy = lambda c: int(c) % F.p
+    polys = [sympy.Poly.from_dict({m: to_sympy(c) for m, c in g.terms.items()},
+                                  *syms, **opts) for g in gens]
+    out = []
+    for poly in sympy.groebner(polys, *syms, order=order, **opts).polys:
+        terms = {m: from_sympy(c) for m, c in poly.terms()}
+        lc_inv = F.inv(terms[max(terms, key=grevlex_key)])
+        out.append(sorted((m, F.mul(c, lc_inv)) for m, c in terms.items()))
+    return out
+
+
+def _as_lists(basis):
+    return [sorted(g.terms.items()) for g in basis]
+
+
+@pytest.mark.parametrize("nvars", [2, 3, 4])
+def test_basis_matches_sympy_over_a_prime_field(nvars):
+    rng = random.Random(f"oracle:{nvars}")
+    F = PrimeField(10007)
+    R = PolyRing(F, nvars)
+    for _ in range(14 if nvars < 4 else 12):
+        gens = _random_system(rng, R, lambda: F.random_element(rng),
+                              3 if nvars < 4 else 2)
+        ours = _as_lists(groebner_basis(gens))
+        assert sorted(ours) == sorted(_sympy_basis(gens))
+        # sorted ascending by leading monomial
+        leads = [max((m for m, _ in g), key=grevlex_key) for g in ours]
+        assert leads == sorted(leads, key=grevlex_key)
+
+
+def test_basis_matches_sympy_over_the_rationals():
+    rng = random.Random("oracle:QQ")
+    R = PolyRing(QQ, 3)
+    for _ in range(8):
+        gens = _random_system(rng, R, lambda: Fraction(rng.randrange(-9, 10)), 2)
+        assert sorted(_as_lists(groebner_basis(gens))) == sorted(_sympy_basis(gens))
