@@ -188,12 +188,45 @@ class DerivedSolver:
 
     def count_and_certify(self):
         """(count, certificates) with certificates =
-        {quotient_dim_equals_bezout, eliminant_squarefree}."""
+        {quotient_dim_equals_bezout, eliminant_squarefree}.
+
+        Raises DegenerateInstance when the derived scheme has the Bezout
+        length but is non-reduced, so that ``run_trial`` resamples."""
         if self._counted is not None:
             return self._counted
-        handler = getattr(self, f"_count_{self.route}")
-        self._counted = handler()
+        count, certs = getattr(self, f"_count_{self.route}")()
+        if certs["quotient_dim_equals_bezout"] and not certs["eliminant_squarefree"]:
+            count, certs = self._separate_points(count, certs)
+        self._counted = count, certs
         return self._counted
+
+    def _separate_points(self, count, certs):
+        """Recount a quotient of the Bezout dimension whose eliminant has a
+        repeated root.  Either the eliminated direction does not separate
+        the points, or the scheme is non-reduced and the instance is not
+        general.  Fresh random linear forms on the quotient algebra tell
+        these apart: one more on the Groebner route, two on an algebra built
+        for the resultant route, which then counts and solves through it.
+        A binary form with a repeated root is non-reduced as it stands."""
+        tries = 1
+        if self.route == "resultant":
+            if self._quotient_algebra() != self.bezout:
+                return count, certs
+            self.route = "groebner"
+            tries = 2
+        elif self.route == "binary":
+            tries = 0
+        for _ in range(tries):
+            elim = self._eliminant()
+            if is_squarefree(elim):
+                return squarefree_root_count(elim), {
+                    "quotient_dim_equals_bezout": True,
+                    "eliminant_squarefree": True,
+                }
+        raise DegenerateInstance(
+            f"derived scheme is non-reduced: length {self.bezout} but {count} "
+            f"distinct points" + (f"; {tries} fresh linear forms separate no more"
+                                  if tries else ""))
 
     def _count_trivial(self):
         ok = all(not eq for eq in self.reduction.equations)
@@ -253,22 +286,30 @@ class DerivedSolver:
         affine = [eq.substitute(chart_ring, images) for eq in red.equations]
         return affine, images, chart_ring
 
-    def _count_groebner(self):
-        affine, chart, chart_ring = self._affine_chart()
+    def _quotient_algebra(self):
+        """Build the quotient algebra on a random affine chart and keep it
+        for point extraction; returns its dimension."""
+        affine, chart, _ = self._affine_chart()
         basis = groebner_basis(affine)
         qc = quotient_count(basis)
         if qc == INFINITE:
             raise PositiveDimensional("derived system is not zero dimensional")
-        algebra = QuotientAlgebra(basis)
-        F = chart_ring.field
-        lam = [F.random_element(self.rng) for _ in range(chart_ring.nvars)]
-        elim = eliminant_of_linear_form(algebra, lam)
-        squarefree = is_squarefree(elim)
-        count = squarefree_root_count(elim)
-        self._groebner_state = (algebra, chart)
-        return count, {
+        self._groebner_state = (QuotientAlgebra(basis), chart)
+        return qc
+
+    def _eliminant(self):
+        """Eliminant of a fresh random linear form on the quotient algebra."""
+        algebra, _ = self._groebner_state
+        F = algebra.field
+        lam = [F.random_element(self.rng) for _ in algebra.mats]
+        return eliminant_of_linear_form(algebra, lam)
+
+    def _count_groebner(self):
+        qc = self._quotient_algebra()
+        elim = self._eliminant()
+        return squarefree_root_count(elim), {
             "quotient_dim_equals_bezout": qc == self.bezout,
-            "eliminant_squarefree": squarefree,
+            "eliminant_squarefree": is_squarefree(elim),
         }
 
     # -- point extraction --------------------------------------------------

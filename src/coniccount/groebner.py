@@ -1,197 +1,306 @@
-"""Buchberger Groebner bases over a field, plus the zero-dimensional
-toolkit: standard monomials, multiplication matrices, eliminants and
-point extraction through eigenvectors.
+"""Buchberger Groebner bases in grevlex order over a field, plus the
+zero-dimensional toolkit: standard monomials, multiplication matrices,
+eliminants and point extraction through eigenvectors.
 
-The systems handled here are small (quotient dimension below a hundred),
-so plain Buchberger with the product and chain criteria is enough; no
-staircase tricks or F4-style batching.
+Inside this module a monomial is one Python int (``_Packing``): the top
+field holds the total degree, the fields below it the complemented
+exponents, the last variable highest.  Int comparison is then the grevlex
+order, a product is one addition and a divisibility test one addition
+and one mask.  Buchberger keeps each basis element once, packed and
+monic, applies the product and chain criteria, and selects pairs by the
+smallest lcm, cached when the pair is made; remainders come off a
+max-heap of the terms still to reduce.  Multiplication matrices are read
+off the border of the reduced basis: a column whose shifted monomial is
+standard is a unit vector, one whose shifted monomial is a leading term
+is minus that element's tail, and only the other columns are reduced.
+The public functions take and return ``MultiPoly`` objects.
 """
 
-import itertools
+from heapq import heapify, heappop, heappush
 
-from .multipoly import MultiPoly, MONOMIAL_ORDERS, grevlex_key
+from .multipoly import MultiPoly
 from .unipoly import is_squarefree, factor_squarefree, irreducible_root
 from . import linalg
 
 INFINITE = "infinite"
+
+MIN_FIELD_BITS = 8
 
 
 class PositiveDimensional(ValueError):
     """Raised where a zero-dimensional ideal was required."""
 
 
-def _monomial_div(m, d):
-    out = []
-    for a, b in zip(m, d):
-        if a < b:
-            return None
-        out.append(a - b)
-    return tuple(out)
+class _Packing:
+    """Grevlex monomials in ``nvars`` variables, of total degree at most
+    ``top``, packed into ints.
 
-
-def _monomial_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def normal_form(poly, basis, key=grevlex_key):
-    """Full remainder of poly under division by the basis."""
-    F = poly.ring.field
-    lead = [(g.leading(key)) for g in basis]
-    rem = {}
-    work = dict(poly.terms)
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        for g, (gm, gc) in zip(basis, lead):
-            q = _monomial_div(m, gm)
-            if q is not None:
-                factor = F.div(c, gc)
-                for m2, c2 in g.terms.items():
-                    if m2 == gm:
-                        continue
-                    mm = tuple(i + j for i, j in zip(q, m2))
-                    s = F.sub(work.get(mm, F.zero), F.mul(factor, c2))
-                    if s == F.zero:
-                        work.pop(mm, None)
-                    else:
-                        work[mm] = s
-                break
-        else:
-            rem[m] = c
-    return MultiPoly(poly.ring, rem)
-
-
-def _spoly(f, g, key):
-    F = f.ring.field
-    fm, fc = f.leading(key)
-    gm, gc = g.leading(key)
-    lcm = _monomial_lcm(fm, gm)
-    mf = tuple(a - b for a, b in zip(lcm, fm))
-    mg = tuple(a - b for a, b in zip(lcm, gm))
-    tf = MultiPoly(f.ring, {mf: F.inv(fc)})
-    tg = MultiPoly(g.ring, {mg: F.inv(gc)})
-    return tf * f - tg * g
-
-
-def groebner_basis(system, order="grevlex"):
-    """Reduced Groebner basis of the ideal generated by ``system``.
-
-    The result is monic, autoreduced and sorted, hence canonical for the
-    order: running the function on its own output returns it unchanged.
+    Exponent field v (bits v*bits and up) holds top - e_v; its high bit is
+    a guard, clear in every packed monomial.  The degree sits above the
+    exponent fields.  ``one`` packs the constant monomial, so the product
+    of packed a and b is a + b - one, and a is divisible by b exactly when
+    q = a + (one - b) has no guard bit set; q is then the packed quotient.
+    (No guard bit set means every exponent of a is at least that of b, so
+    the degree field of q, and q itself, is nonnegative as well.)
     """
-    key = MONOMIAL_ORDERS[order] if isinstance(order, str) else order
+
+    def __init__(self, nvars, degree):
+        bits = max(MIN_FIELD_BITS, degree.bit_length() + 1)
+        self.nvars = nvars
+        self.bits = bits
+        self.top = (1 << (bits - 1)) - 1
+        self.shift = nvars * bits
+        self.one = sum(self.top << (v * bits) for v in range(nvars))
+        self.guard = sum(1 << (v * bits + bits - 1) for v in range(nvars))
+        # x_v packed, minus one: adding e of them raises the degree by e
+        # and lowers field v by e
+        self.units = [(1 << self.shift) - (1 << (v * bits)) for v in range(nvars)]
+
+    def pack(self, exps):
+        m = self.one
+        for e, unit in zip(exps, self.units):
+            m += e * unit
+        return m
+
+    def unpack(self, m):
+        top, bits, mask = self.top, self.bits, (1 << self.bits) - 1
+        return tuple(top - ((m >> (v * bits)) & mask) for v in range(self.nvars))
+
+
+class _Packed:
+    """Monic polynomials of one ring over one packing.
+
+    Each element is stored once as (lead, one - lead, tail items): adding
+    the second entry to a multiple of the lead gives the cofactor, and the
+    tail items carry negated coefficients, so they are the normal form of
+    the lead when the basis is reduced."""
+
+    def __init__(self, ring, polys=(), degree=0):
+        self.ring = ring
+        self.field = ring.field
+        self.packing = _Packing(ring.nvars, max([degree] + [p.degree() for p in polys]))
+        self.elements = []
+        for p in polys:
+            self.append(self.pack(p))
+
+    def pack(self, poly):
+        pack = self.packing.pack
+        return {pack(m): c for m, c in poly.terms.items()}
+
+    def unpack(self, terms):
+        unpack = self.packing.unpack
+        return MultiPoly(self.ring, {unpack(m): c for m, c in terms.items()})
+
+    def append(self, terms):
+        """Store the monic multiple of the nonzero packed polynomial ``terms``."""
+        F = self.field
+        lead = max(terms)
+        scale = F.neg(F.inv(terms[lead]))
+        tail = [(m, F.mul(c, scale)) for m, c in terms.items() if m != lead]
+        self.elements.append((lead, self.packing.one - lead, tail))
+
+    def widen(self, degree):
+        """Repack so that monomials of total degree ``degree`` fit; returns
+        the old packing, or None when they fit already."""
+        old = self.packing
+        if degree <= old.top:
+            return None
+        new = self.packing = _Packing(old.nvars, degree)
+        repack = lambda m: new.pack(old.unpack(m))
+        self.elements[:] = [(repack(lead), new.one - repack(lead),
+                             [(repack(m), c) for m, c in tail])
+                            for lead, _, tail in self.elements]
+        return old
+
+    def reduce(self, work, elements=None):
+        """Full remainder of the packed polynomial ``work`` (a dict, which
+        is consumed) under division by the elements, tried in order."""
+        if elements is None:
+            elements = self.elements
+        F = self.field
+        add, mul, zero = F.add, F.mul, F.zero
+        guard, one = self.packing.guard, self.packing.one
+        heap = [-m for m in work]
+        heapify(heap)
+        rem = {}
+        while heap:
+            m = -heappop(heap)
+            c = work.pop(m, None)
+            if c is None:  # cancelled, or a repeated heap entry
+                continue
+            for _, inv, tail in elements:
+                q = m + inv
+                if not q & guard:
+                    q -= one
+                    for tm, tc in tail:
+                        mm = tm + q
+                        old = work.get(mm)
+                        if old is None:
+                            work[mm] = mul(c, tc)
+                            heappush(heap, -mm)
+                        else:
+                            s = add(old, mul(c, tc))
+                            if s == zero:
+                                del work[mm]
+                            else:
+                                work[mm] = s
+                    break
+            else:
+                rem[m] = c
+        return rem
+
+
+def normal_form(poly, basis):
+    """Full remainder of poly under division by the basis: a list of
+    polynomials, tried in order, or the packed basis of a QuotientAlgebra."""
+    if not isinstance(basis, _Packed):
+        basis = _Packed(poly.ring, basis, poly.degree())
+    basis.widen(poly.degree())
+    return basis.unpack(basis.reduce(basis.pack(poly)))
+
+
+def groebner_basis(system):
+    """Reduced grevlex Groebner basis of the ideal generated by ``system``.
+
+    The result is monic, autoreduced and sorted by leading monomial, hence
+    canonical: running the function on its own output returns it unchanged.
+    """
     polys = [p for p in system if p]
     if not polys:
         return []
     ring = polys[0].ring
-    basis = []
-    for p in polys:
-        if p.ring != ring:
-            raise ValueError("generators live in different rings")
-        basis.append(p.scale(ring.field.inv(p.leading(key)[1])))
+    if any(p.ring != ring for p in polys):
+        raise ValueError("generators live in different rings")
+    F = ring.field
+    basis = _Packed(ring, polys)
+    elements = basis.elements
+    exps = [basis.packing.unpack(lead) for lead, _, _ in elements]
+    pairs = []          # heap of (lcm, i, j) with i < j
+    pending = set()     # the (i, j) still in the heap
 
-    pairs = set()
-    for i in range(len(basis)):
-        for j in range(i):
-            pairs.add((j, i))
+    def add_pairs(t):
+        lcms = [tuple(map(max, exps[k], exps[t])) for k in range(t)]
+        # an S-polynomial has the degree of its lcm, and reduction never
+        # raises the degree: widen here, and nothing can overflow
+        old = basis.widen(max(map(sum, lcms), default=0))
+        pack = basis.packing.pack
+        if old is not None:
+            # the repacking keeps the order, so the heap stays a heap
+            pairs[:] = [(pack(old.unpack(lcm)), i, j) for lcm, i, j in pairs]
+        for k, lcm in enumerate(lcms):
+            heappush(pairs, (pack(lcm), k, t))
+            pending.add((k, t))
 
-    def lt(i):
-        return basis[i].leading(key)[0]
-
+    for t in range(len(elements)):
+        add_pairs(t)
     while pairs:
-        # normal selection: smallest lcm in the order
-        i, j = min(pairs, key=lambda ij: key(_monomial_lcm(lt(ij[0]), lt(ij[1]))))
-        pairs.discard((i, j))
-        lcm = _monomial_lcm(lt(i), lt(j))
+        lcm, i, j = heappop(pairs)
+        pending.discard((i, j))
+        guard, one = basis.packing.guard, basis.packing.one
+        lead_i, inv_i, tail_i = elements[i]
+        lead_j, inv_j, tail_j = elements[j]
         # product criterion
-        if all(a + b == c for a, b, c in zip(lt(i), lt(j), lcm)):
+        if lcm == lead_i + lead_j - one:
             continue
         # chain criterion
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if _monomial_div(lcm, lt(k)) is not None \
-                    and (min(i, k), max(i, k)) not in pairs \
-                    and (min(j, k), max(j, k)) not in pairs:
-                skip = True
-                break
-        if skip:
+        if any(not (lcm + inv) & guard and k != i and k != j
+               and ((k, i) if k < i else (i, k)) not in pending
+               and ((k, j) if k < j else (j, k)) not in pending
+               for k, (_, inv, _) in enumerate(elements)):
             continue
-        rem = normal_form(_spoly(basis[i], basis[j], key), basis, key)
+        # S-polynomial from the tails, which carry negated coefficients
+        qi, qj = lcm + inv_i - one, lcm + inv_j - one
+        work = {m + qj: c for m, c in tail_j}
+        for m, c in tail_i:
+            s = F.sub(work.get(m + qi, F.zero), c)
+            if s == F.zero:
+                del work[m + qi]
+            else:
+                work[m + qi] = s
+        rem = basis.reduce(work)
         if rem:
-            rem = rem.scale(ring.field.inv(rem.leading(key)[1]))
-            t = len(basis)
             basis.append(rem)
-            for k in range(t):
-                pairs.add((k, t))
+            exps.append(basis.packing.unpack(elements[-1][0]))
+            add_pairs(len(elements) - 1)
 
-    # prune generators whose leading term another one divides
-    lead = [g.leading(key)[0] for g in basis]
-    keep = []
-    for i, m in enumerate(lead):
-        if not any(j != i and _monomial_div(m, lead[j]) is not None
-                   and (lead[j] != m or j < i) for j in range(len(basis))):
-            keep.append(i)
-    basis = [basis[i] for i in keep]
-    # reduce tails
+    # keep one element per minimal leading monomial
+    guard, one = basis.packing.guard, basis.packing.one
+    minimal = [el for i, el in enumerate(elements)
+               if not any(j != i and not (el[0] + inv) & guard
+                          and (lead != el[0] or j < i)
+                          for j, (lead, inv, _) in enumerate(elements))]
+    # reduce the tails; the leads stay, since none divides another
     reduced = []
-    for i, g in enumerate(basis):
-        others = basis[:i] + basis[i + 1:]
-        h = normal_form(g, others, key) if others else g
-        reduced.append(h.scale(ring.field.inv(h.leading(key)[1])))
-    reduced.sort(key=lambda g: key(g.leading(key)[0]))
-    return reduced
+    for i, (lead, _, tail) in enumerate(minimal):
+        rem = basis.reduce({m: F.neg(c) for m, c in tail}, minimal[:i] + minimal[i + 1:])
+        rem[lead] = F.one
+        reduced.append((lead, rem))
+    reduced.sort(key=lambda el: el[0])
+    return [basis.unpack(terms) for _, terms in reduced]
 
 
-def standard_monomials(basis, order="grevlex"):
-    """Monomials outside the leading term ideal, or None if infinite."""
+def standard_monomials(basis):
+    """Monomials outside the leading term ideal, grevlex-sorted, or None
+    if there are infinitely many."""
     if not basis:
         return None
-    ring = basis[0].ring
-    n = ring.nvars
-    key = MONOMIAL_ORDERS[order] if isinstance(order, str) else order
-    lead = [g.leading(key)[0] for g in basis]
-    if any(all(e == 0 for e in m) for m in lead):
+    n = basis[0].ring.nvars
+    lead = [g.leading()[0] for g in basis]
+    if any(not any(m) for m in lead):
         return []
     # finiteness: every variable needs a pure power among the leading terms
     caps = []
     for v in range(n):
-        cap = None
-        for m in lead:
-            if m[v] > 0 and all(m[w] == 0 for w in range(n) if w != v):
-                cap = m[v] if cap is None else min(cap, m[v])
-        if cap is None:
+        pure = [m[v] for m in lead if m[v] > 0 and m[v] == sum(m)]
+        if not pure:
             return None
-        caps.append(cap)
-    out = []
-    for exps in itertools.product(*(range(c) for c in caps)):
-        if not any(_monomial_div(exps, m) is not None for m in lead):
-            out.append(exps)
-    out.sort(key=grevlex_key)
-    return out
+        caps.append(min(pure))
+    # the standard monomials are closed under division: walk up from 1
+    packing = _Packing(n, max([sum(caps)] + [sum(m) for m in lead]))
+    guard = packing.guard
+    invs = [packing.one - packing.pack(m) for m in lead]
+    found = {packing.one}
+    stack = [packing.one]
+    while stack:
+        m = stack.pop()
+        for unit in packing.units:
+            s = m + unit
+            if s not in found and all((s + inv) & guard for inv in invs):
+                found.add(s)
+                stack.append(s)
+    return [packing.unpack(m) for m in sorted(found)]
 
 
-def quotient_count(basis, order="grevlex"):
+def quotient_count(basis):
     """Dimension of the quotient algebra, or the string "infinite"."""
-    sm = standard_monomials(basis, order)
+    sm = standard_monomials(basis)
     return INFINITE if sm is None else len(sm)
 
 
 def multiplication_matrix(basis, var, monomials):
     """Matrix of multiplication by x_var on the standard monomials of a
-    grevlex basis."""
-    ring = basis[0].ring
-    F = ring.field
-    index = {m: i for i, m in enumerate(monomials)}
+    reduced grevlex basis: a list of polynomials, or its packed form."""
+    if not isinstance(basis, _Packed):
+        basis = _Packed(basis[0].ring, basis)
+    basis.widen(max(map(sum, monomials), default=0) + 1)
+    F = basis.field
+    packing = basis.packing
+    index = {packing.pack(m): i for i, m in enumerate(monomials)}
+    border = {lead: tail for lead, _, tail in basis.elements}
+    unit = packing.units[var]
     cols = []
-    for m in monomials:
-        shifted = list(m)
-        shifted[var] += 1
-        nf = normal_form(MultiPoly(ring, {tuple(shifted): F.one}), basis)
+    for m in index:
+        shifted = m + unit
         col = [F.zero] * len(monomials)
-        for mm, c in nf.terms.items():
-            col[index[mm]] = c
+        if shifted in index:
+            col[index[shifted]] = F.one
+        else:
+            tail = border.get(shifted)
+            if tail is None:
+                nf = normal_form(basis.unpack({shifted: F.one}), basis)
+                tail = basis.pack(nf).items()
+            for mm, c in tail:
+                col[index[mm]] = c
         cols.append(col)
     # cols are images; transpose into a conventional matrix
     return linalg.transpose(cols)
@@ -199,17 +308,19 @@ def multiplication_matrix(basis, var, monomials):
 
 class QuotientAlgebra:
     """The quotient algebra of a zero-dimensional ideal, built once from
-    its grevlex Groebner basis: the standard monomials and the matrix of
-    multiplication by each variable on them."""
+    its reduced grevlex Groebner basis: the standard monomials and the
+    matrix of multiplication by each variable on them."""
 
     def __init__(self, basis):
         monomials = standard_monomials(basis)
         if monomials is None:
             raise PositiveDimensional("quotient is infinite dimensional")
-        self.field = basis[0].ring.field
+        ring = basis[0].ring
+        self.field = ring.field
         self.monomials = monomials
-        self.mats = [multiplication_matrix(basis, v, monomials)
-                     for v in range(basis[0].ring.nvars)]
+        packed = _Packed(ring, basis)
+        self.mats = [multiplication_matrix(packed, v, monomials)
+                     for v in range(ring.nvars)]
 
     def linear_form_matrix(self, lam):
         """Matrix of multiplication by the linear form sum lam[v] x_v."""

@@ -14,13 +14,6 @@ def grevlex_key(mon):
     return (sum(mon), tuple(-e for e in reversed(mon)))
 
 
-def lex_key(mon):
-    return mon
-
-
-MONOMIAL_ORDERS = {"grevlex": grevlex_key, "lex": lex_key}
-
-
 class RingMismatch(ValueError):
     pass
 
@@ -188,11 +181,11 @@ class MultiPoly:
     def coefficient(self, mon):
         return self.terms.get(tuple(mon), self.ring.field.zero)
 
-    def leading(self, key=grevlex_key):
-        """(monomial, coefficient) maximal under the given order key."""
+    def leading(self):
+        """(monomial, coefficient) maximal in grevlex order."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=key)
+        m = max(self.terms, key=grevlex_key)
         return m, self.terms[m]
 
     def sorted_terms(self):

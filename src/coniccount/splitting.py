@@ -450,18 +450,20 @@ def find_line_through_point(ci, tries=40, rng_tag="lines"):
     and the eliminant randomness are reseeded until one shows up."""
     md = ci.md
     last = None
+    irrational = []     # the orbit degrees of each try without a rational point
     for attempt in range(tries):
         rng = random.Random(f"{rng_tag}:{ci.seed}:{attempt}")
         try:
             system = line_family_system(ci, rng)
             solver = DerivedSolver(system, rng)
             pts = solver.points(max_ext_degree=1)
+            if not pts:
+                irrational.append(tuple(sorted(
+                    k for _, _, k in solver.points(max_ext_degree=solver.bezout))))
         except (DegenerateInstance, ValueError) as exc:
             last = exc
             continue
         for point, L, k in pts:
-            if k != 1:
-                continue
             coords = [BinaryForm(L, 1, [L.zero, L.one])]
             for bj in point:
                 coords.append(BinaryForm(L, 1, [bj, L.zero]))
@@ -469,4 +471,11 @@ def find_line_through_point(ci, tries=40, rng_tag="lines"):
                 return RationalCurveMap(L, 1, coords).validate(ci)
             except ValueError as exc:
                 last = exc
-    raise DegenerateInstance(f"no rational line found in {tries} tries: {last}")
+    reasons = []
+    if irrational:
+        reasons.append(f"{len(irrational)} had no GF({ci.field.p})-rational point, "
+                       f"orbit degrees seen: {sorted(set(irrational))}")
+    if last is not None:
+        reasons.append(f"the last error was: {last}")
+    raise DegenerateInstance(f"no rational line found in {tries} tries: "
+                             + "; ".join(reasons))

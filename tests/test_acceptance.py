@@ -56,7 +56,7 @@ def test_criterion_03_quadric_cubic_count():
     assert rep.method == "groebner"
     assert rep.consistent
     assert sorted(rep.degree_profile) == sorted([3, 2, 1, 1, 2])
-    _report(3, 300, t0, "count --degrees 2,3 -> 12 via Groebner, unanimous")
+    _report(3, 60, t0, "count --degrees 2,3 -> 12 via Groebner, unanimous")
 
 
 def test_criterion_04_quartic_fourfold_count():
@@ -68,7 +68,7 @@ def test_criterion_04_quartic_fourfold_count():
     for t in rep.trials:
         assert t.certificates["quotient_dim_equals_bezout"]
         assert t.certificates["eliminant_squarefree"]
-    _report(4, 1800, t0, "count --degrees 4 -> 72, quotient = Bezout = 72")
+    _report(4, 120, t0, "count --degrees 4 -> 72, quotient = Bezout = 72")
 
 
 def test_criterion_05_bezout_equals_formula():

@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 BASE = [sys.executable, "-m", "coniccount.cli"]
 
 
@@ -94,16 +96,37 @@ def test_small_prime_rejected():
     assert res.returncode == 2
 
 
-def test_splitting_fails_on_a_non_general_instance(tmp_path):
-    # a rare (2,2,2) instance: count 3 with a non-squarefree eliminant and
-    # two conics splitting as (2,2,1,1,0)
-    out = tmp_path / "split.json"
-    res = run_cli("splitting", "--degrees", "2,2,2", "--primes", "31013",
+def test_non_reduced_instance_is_resampled(tmp_path):
+    # (2,2,2) GF(31013) seed 77756 first samples a derived scheme of length
+    # 4 with 3 distinct points; it is rejected and the trial resamples
+    import random
+    from coniccount.conic_system import DegenerateInstance, dimension_from_degrees
+    from coniccount.counting import DerivedSolver, checked_prime_field, prepare_instance
+    out = tmp_path / "count.json"
+    res = run_cli("count", "--degrees", "2,2,2", "--primes", "31013",
                   "--seeds", "77756", "--out", str(out))
-    assert res.returncode == 5, res.stdout + res.stderr
-    assert "FAIL:" in res.stdout
+    assert res.returncode == 0, res.stdout + res.stderr
     data = json.loads(out.read_text())
-    assert not all(e["quasi_line"] for e in data["entries"])
+    assert data["count"] == 4 and data["matches_expected"]
+    assert data["trials"][0]["attempts"] >= 2
+    # the first attempt, as run_trial makes it
+    md = dimension_from_degrees((2, 2, 2))
+    *_, ds, _ = prepare_instance(md, checked_prime_field(31013), 77756, "secant")
+    solver = DerivedSolver(ds, random.Random("trial:31013:77756:0:secant"))
+    with pytest.raises(DegenerateInstance, match="derived scheme is non-reduced"):
+        solver.count_and_certify()
+
+
+def test_splitting_fails_when_orbits_are_skipped(tmp_path):
+    # (2,3) GF(31013) seed 1: 12 conics, of which 10 lie in Galois orbits
+    # above the degree cap and are not reconstructed
+    out = tmp_path / "split.json"
+    res = run_cli("splitting", "--degrees", "2,3", "--primes", "31013",
+                  "--seeds", "1", "--out", str(out))
+    assert res.returncode == 5, res.stdout + res.stderr
+    assert "FAIL: covered 2 of 12" in res.stdout
+    data = json.loads(out.read_text())
+    assert data["covered"] == sum(e["orbit_degree"] for e in data["entries"]) == 2
 
 
 # sha256 of each JSON report as written by the code before binary forms

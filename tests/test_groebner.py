@@ -4,13 +4,15 @@ from itertools import permutations, product
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from coniccount.fields import QQ, PrimeField
 from coniccount.multipoly import PolyRing, grevlex_key
 from coniccount.groebner import (groebner_basis, quotient_count, INFINITE,
                                  eliminant_of_linear_form,
                                  solve_zero_dimensional, normal_form,
-                                 PositiveDimensional, QuotientAlgebra)
+                                 PositiveDimensional, QuotientAlgebra,
+                                 _Packing)
 
 
 def _circle_line(field):
@@ -141,8 +143,6 @@ def test_normal_form_is_zero_on_ideal_members():
 def test_buchberger_property_on_random_systems():
     # the defining property is the oracle: every S-polynomial of the
     # output reduces to zero, and every generator lies in the ideal
-    from coniccount.groebner import _spoly
-    from coniccount.multipoly import grevlex_key
     rng = random.Random(17)
     F = PrimeField(10007)
     for nvars, degs in [(2, (2, 2)), (3, (2, 2, 2)), (3, (1, 2, 3)), (4, (2, 3))]:
@@ -162,9 +162,19 @@ def test_buchberger_property_on_random_systems():
             assert normal_form(g, gb).is_zero()
         for i in range(len(gb)):
             for j in range(i):
-                s = _spoly(gb[i], gb[j], grevlex_key)
+                s = _spoly(gb[i], gb[j])
                 assert normal_form(s, gb).is_zero()
         assert groebner_basis(gb) == gb
+
+
+def _spoly(f, g):
+    """lcm/lt(f) * f - lcm/lt(g) * g, each term divided by its coefficient."""
+    F = f.ring.field
+    (fm, fc), (gm, gc) = f.leading(), g.leading()
+    lcm = tuple(map(max, fm, gm))
+    tf = f.ring.from_dict({tuple(a - b for a, b in zip(lcm, fm)): F.inv(fc)})
+    tg = g.ring.from_dict({tuple(a - b for a, b in zip(lcm, gm)): F.inv(gc)})
+    return tf * f - tg * g
 
 
 def test_solve_zero_dimensional_back_substitutes():
@@ -253,3 +263,76 @@ def test_basis_matches_sympy_over_the_rationals():
     for _ in range(8):
         gens = _random_system(rng, R, lambda: Fraction(rng.randrange(-9, 10)), 2)
         assert sorted(_as_lists(groebner_basis(gens))) == sorted(_sympy_basis(gens))
+
+
+# -- the packed monomials ----------------------------------------------------
+
+# pairs of exponent vectors in one to five variables; exponents up to 300
+# make the packings range over several field widths
+_exponent_pairs = st.integers(1, 5).flatmap(lambda n: st.tuples(
+    *[st.lists(st.integers(0, 300), min_size=n, max_size=n).map(tuple)] * 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exponent_pairs)
+def test_packing_is_an_order_isomorphism_onto_grevlex(pair):
+    a, b = pair
+    P = _Packing(len(a), max(sum(a), sum(b)))
+    assert P.unpack(P.pack(a)) == a
+    assert (P.pack(a) < P.pack(b)) == (grevlex_key(a) < grevlex_key(b))
+    assert (P.pack(a) == P.pack(b)) == (a == b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exponent_pairs)
+def test_packed_product_is_the_packed_sum_of_exponents(pair):
+    a, b = pair
+    total = tuple(x + y for x, y in zip(a, b))
+    P = _Packing(len(a), sum(total))
+    assert P.pack(a) + P.pack(b) - P.one == P.pack(total)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exponent_pairs, st.booleans())
+def test_packed_divisibility_is_componentwise_comparison(pair, make_divisible):
+    a, b = pair
+    if make_divisible:
+        a = tuple(x + y for x, y in zip(a, b))
+    P = _Packing(len(a), max(sum(a), sum(b)))
+    q = P.pack(a) + (P.one - P.pack(b))
+    divisible = all(x >= y for x, y in zip(a, b))
+    assert (not q & P.guard) == divisible
+    if divisible:
+        assert q == P.pack(tuple(x - y for x, y in zip(a, b)))
+
+
+def test_input_wider_than_the_initial_field_width():
+    # degree 300 needs wider fields than the minimum; a wrapped exponent
+    # would corrupt the basis
+    F = PrimeField(10007)
+    R = PolyRing(F, 2)
+    x, y = R.gen(0), R.gen(1)
+    gens = [x ** 300 - R.one(), y - x * x]
+    assert _Packing(2, 0).top < 300
+    gb = groebner_basis(gens)
+    assert sorted(_as_lists(gb)) == sorted(_sympy_basis(gens))
+    assert gb == [x * x - y, y ** 150 - R.one()]
+    assert quotient_count(gb) == 300
+    assert normal_form(x ** 301, gb) == x
+
+
+def test_pair_lcm_wider_than_the_input():
+    # the inputs have degree 100, within the first width; the lcm of their
+    # leading terms x^70 y^70 has degree 140, and their S-polynomial
+    # x^40 - y^140 an exponent that only a wider packing holds
+    F = PrimeField(10007)
+    R = PolyRing(F, 2)
+    x, y = R.gen(0), R.gen(1)
+    gens = [x ** 70 * y ** 30 - y ** 100, x ** 30 * y ** 70 - R.one()]
+    assert 100 <= _Packing(2, 100).top < 140
+    gb = groebner_basis(gens)
+    assert sorted(_as_lists(gb)) == sorted(_sympy_basis(gens))
+    assert [g.leading()[0] for g in gb] == [(70, 0), (30, 70), (0, 140)]
+    assert quotient_count(gb) == 7000
+    for g in gens:
+        assert normal_form(g, gb).is_zero()

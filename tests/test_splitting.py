@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coniccount.fields import PrimeField
-from coniccount.conic_system import dimension_from_degrees, random_ci
+from coniccount.conic_system import DegenerateInstance, dimension_from_degrees, random_ci
 from coniccount.counting import solve_and_verify
 from coniccount.splitting import (BinaryForm, ThreeTermComplex, RationalCurveMap,
                                   hypercohomology_dims, splitting_type_of_complex,
@@ -131,6 +131,13 @@ def test_line_splitting_on_cubic_threefold():
     st_ = splitting_type(ci, line)
     assert st_ == (2, 0, 0)
     assert not is_quasi_line(st_)
+    # the tangent instance of seed 1 has its six lines in one Galois orbit
+    # of degree 6, and the failure says so instead of naming no error
+    ci = random_ci(md, F, 1, "tangent")
+    with pytest.raises(DegenerateInstance) as info:
+        find_line_through_point(ci, tries=3)
+    assert str(info.value) == ("no rational line found in 3 tries: 3 had no "
+                               "GF(10007)-rational point, orbit degrees seen: [(6,)]")
 
 
 def test_line_splitting_on_cubic_quadric():
