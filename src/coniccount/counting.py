@@ -225,8 +225,7 @@ class DerivedSolver:
                 }
         raise DegenerateInstance(
             f"derived scheme is non-reduced: length {self.bezout} but {count} "
-            f"distinct points" + (f"; {tries} fresh linear forms separate no more"
-                                  if tries else ""))
+            f"distinct points" + (f"; fresh linear forms tried: {tries}" if tries else ""))
 
     def _count_trivial(self):
         ok = all(not eq for eq in self.reduction.equations)

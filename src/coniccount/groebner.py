@@ -295,11 +295,11 @@ def multiplication_matrix(basis, var, monomials):
         if shifted in index:
             col[index[shifted]] = F.one
         else:
-            tail = border.get(shifted)
-            if tail is None:
-                nf = normal_form(basis.unpack({shifted: F.one}), basis)
-                tail = basis.pack(nf).items()
-            for mm, c in tail:
+            # the normal form of a leading term is its stored, negated tail
+            nf = border.get(shifted)
+            if nf is None:
+                nf = basis.pack(normal_form(basis.unpack({shifted: F.one}), basis)).items()
+            for mm, c in nf:
                 col[index[mm]] = c
         cols.append(col)
     # cols are images; transpose into a conventional matrix

@@ -450,19 +450,18 @@ def find_line_through_point(ci, tries=40, rng_tag="lines"):
     and the eliminant randomness are reseeded until one shows up."""
     md = ci.md
     last = None
-    irrational = []     # the orbit degrees of each try without a rational point
+    irrational = []     # the solvers of the tries without a rational point
     for attempt in range(tries):
         rng = random.Random(f"{rng_tag}:{ci.seed}:{attempt}")
         try:
             system = line_family_system(ci, rng)
             solver = DerivedSolver(system, rng)
             pts = solver.points(max_ext_degree=1)
-            if not pts:
-                irrational.append(tuple(sorted(
-                    k for _, _, k in solver.points(max_ext_degree=solver.bezout))))
         except (DegenerateInstance, ValueError) as exc:
             last = exc
             continue
+        if not pts:
+            irrational.append(solver)
         for point, L, k in pts:
             coords = [BinaryForm(L, 1, [L.zero, L.one])]
             for bj in point:
@@ -473,8 +472,13 @@ def find_line_through_point(ci, tries=40, rng_tag="lines"):
                 last = exc
     reasons = []
     if irrational:
+        # the lines through the point do not depend on the try, so the
+        # orbits of one try stand for all; found only now, as they cost
+        # arithmetic in extension fields
+        solver = irrational[-1]
+        degrees = sorted(k for *_, k in solver.points(max_ext_degree=solver.bezout))
         reasons.append(f"{len(irrational)} had no GF({ci.field.p})-rational point, "
-                       f"orbit degrees seen: {sorted(set(irrational))}")
+                       f"and the orbit degrees of the last were {degrees}")
     if last is not None:
         reasons.append(f"the last error was: {last}")
     raise DegenerateInstance(f"no rational line found in {tries} tries: "

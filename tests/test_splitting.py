@@ -137,7 +137,8 @@ def test_line_splitting_on_cubic_threefold():
     with pytest.raises(DegenerateInstance) as info:
         find_line_through_point(ci, tries=3)
     assert str(info.value) == ("no rational line found in 3 tries: 3 had no "
-                               "GF(10007)-rational point, orbit degrees seen: [(6,)]")
+                               "GF(10007)-rational point, and the orbit degrees "
+                               "of the last were [6]")
 
 
 def test_line_splitting_on_cubic_quadric():
