@@ -107,6 +107,7 @@ class _Packed:
             return None
         new = self.packing = _Packing(old.nvars, degree)
         repack = lambda m: new.pack(old.unpack(m))
+        # in place: groebner_basis holds on to the list
         self.elements[:] = [(repack(lead), new.one - repack(lead),
                              [(repack(m), c) for m, c in tail])
                             for lead, _, tail in self.elements]

@@ -201,7 +201,8 @@ def _random_system(rng, R, draw, max_degree):
     """Sparse random generators of degree at most max_degree, mostly as
     many as variables (a finite quotient), sometimes one fewer."""
     gens = []
-    while len(gens) < max(rng.choice([R.nvars - 1, R.nvars, R.nvars]), 1):
+    count = max(rng.choice([R.nvars - 1, R.nvars, R.nvars]), 1)
+    while len(gens) < count:
         terms = {}
         for d in range(rng.randrange(1, max_degree + 1) + 1):
             for m in R.monomials_of_degree(d):
@@ -213,7 +214,7 @@ def _random_system(rng, R, draw, max_degree):
     return gens
 
 
-def _sympy_basis(gens, order="grevlex"):
+def _sympy_basis(gens):
     """sympy's reduced basis, each element divided by its coefficient at
     the grevlex leading monomial (sympy's own ``monic`` divides by the
     lex one), as lists of (monomial, coefficient) sorted by monomial."""
@@ -231,7 +232,7 @@ def _sympy_basis(gens, order="grevlex"):
     polys = [sympy.Poly.from_dict({m: to_sympy(c) for m, c in g.terms.items()},
                                   *syms, **opts) for g in gens]
     out = []
-    for poly in sympy.groebner(polys, *syms, order=order, **opts).polys:
+    for poly in sympy.groebner(polys, *syms, order="grevlex", **opts).polys:
         terms = {m: from_sympy(c) for m, c in poly.terms()}
         lc_inv = F.inv(terms[max(terms, key=grevlex_key)])
         out.append(sorted((m, F.mul(c, lc_inv)) for m, c in terms.items()))
