@@ -3,11 +3,17 @@ recursion, Schur decomposition, and the Bott nonvanishing case list.
 
 Characters of representations of the rank-3 tautological bundle are
 symmetric polynomials in three variables with nonnegative integer
-coefficients, stored as dense integer cubes indexed by exponents.  All
-multiplications stay in int64; genuine character coefficients here are
-weight multiplicities bounded by the representation dimensions (far below
-2^63), and the rank bookkeeping checks run on every decomposition, so an
-overflow could not pass silently.
+coefficients.  A character is stored as an int64 array on graded
+coordinates (e1, e2, e1+e2+e3 - dmin), with its lowest total degree dmin
+kept beside the array.  The characters here are homogeneous or nearly
+so, so the degree axis is short: a homogeneous character is one plane of
+the exponent cube.  The change of coordinates is additive, so a product
+is a slice-add convolution of the two arrays and the dmins add.
+
+All arithmetic stays in int64.  Before a product the bound
+max|a| * sum|b| on its coefficients is checked, before a sum or
+difference the bound max|a| + max|b|; when a bound reaches 2^63 the
+operation raises CoefficientOverflow instead of wrapping.
 
 Decomposition into Schur pieces uses the alternant: multiplying a
 character by prod_(i<j)(x_i - x_j) turns the Schur basis into signed
@@ -26,95 +32,165 @@ class NotACharacter(ValueError):
     characters."""
 
 
+class CoefficientOverflow(ValueError):
+    """An int64 coefficient could leave the int64 range."""
+
+
+# float64 rounding of the bounds stays far inside this relative margin
+_INT64_BOUND = float(2 ** 63) * (1 - 2 ** -40)
+
+
+def _check_bound(bound, what):
+    if bound >= _INT64_BOUND:
+        raise CoefficientOverflow(
+            f"int64 overflow: a character {what} could reach coefficients of "
+            f"{bound:.3g}, beyond 2^63")
+
+
 class Character3:
-    """Dense symmetric polynomial in three variables, int64 cube."""
+    """Polynomial in three variables as an int64 array on graded
+    coordinates (e1, e2, e1+e2+e3 - dmin).  Instances are not mutated."""
 
-    __slots__ = ("arr",)
+    __slots__ = ("arr", "dmin", "_bounds")
 
-    def __init__(self, arr):
+    def __init__(self, arr, dmin):
         self.arr = arr
+        self.dmin = dmin
+        self._bounds = None
 
     @classmethod
-    def zero(cls, degree=0):
-        return cls(np.zeros((degree + 1,) * 3, dtype=np.int64))
+    def zero(cls):
+        return cls(np.zeros((0, 0, 0), dtype=np.int64), 0)
 
     @classmethod
     def one(cls):
-        arr = np.zeros((1, 1, 1), dtype=np.int64)
-        arr[0, 0, 0] = 1
-        return cls(arr)
+        return cls(np.ones((1, 1, 1), dtype=np.int64), 0)
 
     @classmethod
     def from_terms(cls, terms):
-        degree = max(max(m) for m in terms)
-        arr = np.zeros((degree + 1,) * 3, dtype=np.int64)
-        for m, c in terms.items():
-            arr[m] = c
-        return cls(arr)
+        """From a dict {(e1, e2, e3): coefficient}."""
+        if not terms:
+            return cls.zero()
+        degrees = [sum(m) for m in terms]
+        dmin = min(degrees)
+        arr = np.zeros((max(m[0] for m in terms) + 1,
+                        max(m[1] for m in terms) + 1,
+                        max(degrees) - dmin + 1), dtype=np.int64)
+        for (e1, e2, e3), c in terms.items():
+            arr[e1, e2, e1 + e2 + e3 - dmin] = c
+        return cls(arr, dmin)
+
+    def terms(self):
+        """The nonzero coefficients as a dict {(e1, e2, e3): coefficient}."""
+        e1, e2, g = np.nonzero(self.arr)
+        e3 = g + self.dmin - e1 - e2
+        return dict(zip(zip(e1.tolist(), e2.tolist(), e3.tolist()),
+                        self.arr[e1, e2, g].tolist()))
 
     def is_zero(self):
         return not self.arr.any()
 
+    def _abs_bounds(self):
+        """(max |coefficient|, sum of |coefficients|) as floats."""
+        if self._bounds is None:
+            if self.arr.size:
+                a = np.abs(self.arr)
+                self._bounds = float(a.max()), float(a.sum(dtype=np.float64))
+            else:
+                self._bounds = 0.0, 0.0
+        return self._bounds
+
     def rank(self):
         """Value at (1,1,1): the dimension of the representation."""
-        return int(self.arr.sum())
+        if self._abs_bounds()[1] < _INT64_BOUND:
+            return int(self.arr.sum())
+        return int(self.arr.sum(dtype=object))
 
     def nnz(self):
         return int(np.count_nonzero(self.arr))
 
-    def _padded(self, size):
-        if self.arr.shape[0] == size:
+    def _placed(self, shape, dmin):
+        """The array embedded in a box of the given shape and dmin."""
+        if self.arr.shape == shape and self.dmin == dmin:
             return self.arr
-        out = np.zeros((size,) * 3, dtype=np.int64)
-        s = self.arr.shape[0]
-        out[:s, :s, :s] = self.arr
+        out = np.zeros(shape, dtype=np.int64)
+        s1, s2, sg = self.arr.shape
+        if self.arr.size:
+            g = self.dmin - dmin
+            out[:s1, :s2, g:g + sg] = self.arr
         return out
 
+    def _aligned(self, other):
+        """Both arrays in one common box, and its dmin."""
+        parts = [c for c in (self, other) if c.arr.size]
+        if not parts:
+            return self.arr, other.arr, 0
+        dmin = min(c.dmin for c in parts)
+        top = max(c.dmin + c.arr.shape[2] for c in parts)
+        shape = (max(c.arr.shape[0] for c in parts),
+                 max(c.arr.shape[1] for c in parts), top - dmin)
+        return self._placed(shape, dmin), other._placed(shape, dmin), dmin
+
     def __eq__(self, other):
-        size = max(self.arr.shape[0], other.arr.shape[0])
-        return bool(np.array_equal(self._padded(size), other._padded(size)))
+        a, b, _ = self._aligned(other)
+        return bool(np.array_equal(a, b))
+
+    def _sum_checked(self, other, what):
+        _check_bound(self._abs_bounds()[0] + other._abs_bounds()[0], what)
+        return self._aligned(other)
 
     def __add__(self, other):
-        size = max(self.arr.shape[0], other.arr.shape[0])
-        return Character3(self._padded(size) + other._padded(size))
+        a, b, dmin = self._sum_checked(other, "sum")
+        return Character3(a + b, dmin)
 
     def __sub__(self, other):
-        size = max(self.arr.shape[0], other.arr.shape[0])
-        return Character3(self._padded(size) - other._padded(size))
+        a, b, dmin = self._sum_checked(other, "difference")
+        return Character3(a - b, dmin)
 
     def scale(self, c):
-        return Character3(self.arr * np.int64(c))
+        _check_bound(self._abs_bounds()[0] * abs(c), "multiple")
+        return Character3(self.arr * np.int64(c), self.dmin)
 
     def __mul__(self, other):
         a, b = self, other
-        if a.nnz() > b.nnz():
-            a, b = b, a
         if a.is_zero() or b.is_zero():
             return Character3.zero()
-        sa, sb = a.arr.shape[0], b.arr.shape[0]
-        out = np.zeros((sa + sb - 1,) * 3, dtype=np.int64)
-        idx = np.argwhere(a.arr)
-        vals = a.arr[tuple(idx.T)]
-        for (e1, e2, e3), c in zip(idx, vals):
-            out[e1:e1 + sb, e2:e2 + sb, e3:e3 + sb] += c * b.arr
-        return Character3(out)
+        (max_a, sum_a), (max_b, sum_b) = a._abs_bounds(), b._abs_bounds()
+        _check_bound(min(max_a * sum_b, max_b * sum_a), "product")
+        if a.nnz() > b.nnz():
+            a, b = b, a
+        s1, s2, sg = b.arr.shape
+        out = np.zeros(tuple(x + y - 1 for x, y in zip(a.arr.shape, b.arr.shape)),
+                       dtype=np.int64)
+        i1, i2, ig = np.nonzero(a.arr)
+        for e1, e2, g, c in zip(i1.tolist(), i2.tolist(), ig.tolist(),
+                                a.arr[i1, i2, ig].tolist()):
+            out[e1:e1 + s1, e2:e2 + s2, g:g + sg] += c * b.arr
+        return Character3(out, a.dmin + b.dmin)
 
     def adams(self, t):
         """Substitute t-th powers of the variables."""
-        if t == 1:
+        if t == 1 or not self.arr.size:
             return self
-        idx = np.argwhere(self.arr)
-        vals = self.arr[tuple(idx.T)]
-        size = (self.arr.shape[0] - 1) * t + 1
-        out = np.zeros((size,) * 3, dtype=np.int64)
-        out[tuple((idx * t).T)] = vals
-        return Character3(out)
+        i1, i2, ig = np.nonzero(self.arr)
+        out = np.zeros(tuple((s - 1) * t + 1 for s in self.arr.shape),
+                       dtype=np.int64)
+        out[i1 * t, i2 * t, ig * t] = self.arr[i1, i2, ig]
+        return Character3(out, self.dmin * t)
 
     def exact_div_int(self, k):
+        """The quotient by k, in the smallest box that holds it."""
         q, r = np.divmod(self.arr, np.int64(k))
         if r.any():
             raise NotACharacter(f"coefficients not divisible by {k}")
-        return Character3(q)
+        nonzero = q != 0
+        if not nonzero.any():
+            return Character3.zero()
+        top1 = np.flatnonzero(nonzero.any(axis=(1, 2)))[-1] + 1
+        top2 = np.flatnonzero(nonzero.any(axis=(0, 2)))[-1] + 1
+        degrees = np.flatnonzero(nonzero.any(axis=(0, 1)))
+        lo, hi = degrees[0], degrees[-1] + 1
+        return Character3(q[:top1, :top2, lo:hi].copy(), self.dmin + int(lo))
 
     def __repr__(self):
         return f"Character3(rank={self.rank()}, nnz={self.nnz()})"
@@ -125,11 +201,9 @@ def symmetric_power_char(d):
     symmetric polynomial h_d, of rank (d+1)(d+2)/2."""
     if d < 0:
         raise ValueError("negative symmetric power")
-    arr = np.zeros((d + 1,) * 3, dtype=np.int64)
-    for e1 in range(d + 1):
-        for e2 in range(d + 1 - e1):
-            arr[e1, e2, d - e1 - e2] = 1
-    return Character3(arr)
+    e = np.arange(d + 1)
+    arr = (np.add.outer(e, e) <= d).astype(np.int64)
+    return Character3(arr[:, :, None], d)
 
 
 E_CHAR = symmetric_power_char(1)
@@ -179,6 +253,11 @@ _ANTISYMMETRIZER = Character3.from_terms({
     (0, 2, 1): 1, (1, 0, 2): 1, (0, 1, 2): -1,
 })
 
+# the orbit of a strictly decreasing exponent vector in the alternant:
+# the exponents that go to the first two coordinates, and the sign
+_SIGNED_PERMUTATIONS = (((0, 1), 1), ((0, 2), -1), ((1, 0), -1),
+                        ((1, 2), 1), ((2, 0), 1), ((2, 1), -1))
+
 
 def weyl_dim(b):
     """Dimension of the irreducible with highest weight (b1,b2,b3)."""
@@ -192,29 +271,35 @@ def schur_decompose(c):
     Raises NotACharacter when a multiplicity comes out negative or the
     signed orbit reconstruction fails (non-symmetric or non-integral
     input)."""
-    prod = c * _ANTISYMMETRIZER
-    arr = prod.arr
-    triples = []
-    for (e1, e2, e3) in np.argwhere(arr):
-        if e1 > e2 > e3:
-            mult = int(arr[e1, e2, e3])
-            b = (int(e1) - 2, int(e2) - 1, int(e3))
-            if mult < 0:
-                raise NotACharacter(f"negative multiplicity {mult} at {b}")
-            triples.append((b, mult))
-    # certify: rebuilding the alternant from the list must reproduce prod
+    alt = c * _ANTISYMMETRIZER
+    arr = alt.arr
+    e1, e2, g = np.nonzero(arr)
+    e3 = g + alt.dmin - e1 - e2
+    lead = (e1 > e2) & (e2 > e3)
+    lam, g = (e1[lead], e2[lead], e3[lead]), g[lead]
+    mult = arr[lam[0], lam[1], g]
+    negative = np.flatnonzero(mult < 0)
+    if negative.size:
+        i = negative[0]
+        b = (int(lam[0][i]) - 2, int(lam[1][i]) - 1, int(lam[2][i]))
+        raise NotACharacter(f"negative multiplicity {int(mult[i])} at {b}")
+    # certify: rebuilding the alternant from the list must reproduce it
     rebuilt = np.zeros_like(arr)
-    for (b1, b2, b3), mult in triples:
-        lam = (b1 + 2, b2 + 1, b3)
-        for perm, sign in (((0, 1, 2), 1), ((0, 2, 1), -1), ((1, 0, 2), -1),
-                           ((1, 2, 0), 1), ((2, 0, 1), 1), ((2, 1, 0), -1)):
-            pos = (lam[perm[0]], lam[perm[1]], lam[perm[2]])
-            rebuilt[pos] += sign * mult
+    for (i, j), sign in _SIGNED_PERMUTATIONS:
+        x, y = lam[i], lam[j]
+        if x.size and (x.max() >= arr.shape[0] or y.max() >= arr.shape[1]):
+            raise NotACharacter("decomposition does not rebuild the character")
+        rebuilt[x, y, g] = sign * mult
     if not np.array_equal(rebuilt, arr):
         raise NotACharacter("decomposition does not rebuild the character")
-    if sum(weyl_dim(b) * m for b, m in triples) != c.rank():
+    # weyl_dim at b = lam - (2,1,0); the sum runs in Python ints
+    dims = (lam[0] - lam[1]) * (lam[1] - lam[2]) * (lam[0] - lam[2]) // 2
+    mult = mult.tolist()
+    if sum(d * m for d, m in zip(dims.tolist(), mult)) != c.rank():
         raise NotACharacter("rank bookkeeping failed")
-    triples.sort(key=lambda bm: bm[0], reverse=True)
+    triples = list(zip(zip((lam[0] - 2).tolist(), (lam[1] - 1).tolist(),
+                           lam[2].tolist()), mult))
+    triples.sort(reverse=True)
     return triples
 
 
@@ -369,6 +454,15 @@ class VanishingGrid:
         return VanishingVerdict(self.n, self.degrees, j, k, factors,
                                 verdict, minsum)
 
+    def all_verdicts(self):
+        """All pairs 1 <= j <= rank, 0 <= k <= j; returns (verdicts, all_vanish)."""
+        verdicts = {}
+        for j in range(1, self.rank_q + 1):
+            for k in range(0, j + 1):
+                verdicts[(j, k)] = self.verdict(j, k)
+        all_vanish = all(v.verdict == "vanishes" for v in verdicts.values())
+        return verdicts, all_vanish
+
     def exclusion_inequalities(self):
         """The numeric inequalities that rule the Bott cases out for this
         (n, degrees): cases 1-3 by the first bound, case 4 by the second,
@@ -392,10 +486,4 @@ def vanishing_verdict(n, degrees, j, k):
 
 def vanishing_grid(n, degrees):
     """All pairs 1 <= j <= rank, 0 <= k <= j; returns (verdicts, all_vanish)."""
-    grid = VanishingGrid(n, degrees)
-    verdicts = {}
-    for j in range(1, grid.rank_q + 1):
-        for k in range(0, j + 1):
-            verdicts[(j, k)] = grid.verdict(j, k)
-    all_vanish = all(v.verdict == "vanishes" for v in verdicts.values())
-    return verdicts, all_vanish
+    return VanishingGrid(n, degrees).all_verdicts()

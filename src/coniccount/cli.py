@@ -29,7 +29,7 @@ from .counting import (DEFAULT_PRIMES, DEFAULT_SEEDS, InconsistentCounts,
                        checked_prime_field, count_conics, solve_and_verify)
 from .groebner import PositiveDimensional
 from .quantum import formulas_table
-from .characters import vanishing_grid, rank_q, VanishingGrid
+from .characters import rank_q, VanishingGrid
 from .splitting import (splitting_type, conic_to_map, find_line_through_point,
                         is_quasi_line)
 
@@ -129,8 +129,8 @@ def cmd_formulas(args):
 def cmd_vanish(args):
     n = args.n[0]
     degrees = args.degrees
-    verdicts, all_vanish = vanishing_grid(n, degrees)
     grid = VanishingGrid(n, degrees)
+    verdicts, all_vanish = grid.all_verdicts()
     expected_rank = n + 1 + 3 * len(degrees)
     rank_ok = rank_q(n, degrees) == expected_rank
     inconclusive = sorted((j, k) for (j, k), v in verdicts.items()

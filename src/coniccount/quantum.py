@@ -1,11 +1,12 @@
 """Closed-form conic counts for hypersurfaces of degree n in P^n and the
 quantum-cohomology structure constants they come from.
 
-Everything is exact big-integer or rational arithmetic; the polynomials
-in w are plain coefficient lists of Fractions, low degree first.  The
-count of conics through a general point admits two independent
-computations, a closed form and a three-point-invariant route, and their
-agreement is the module's main identity.
+Everything is exact: the polynomials in w are coefficient lists of ints,
+low degree first.  The degree-2 constants have denominators dividing
+2^(n-2), so they are computed scaled by 2^(n-2) and divided exactly at the
+end, into Fractions.  The count of conics through a general point admits
+two independent computations, a closed form and a three-point-invariant
+route, and their agreement is the module's main identity.
 """
 
 import math
@@ -14,28 +15,16 @@ from fractions import Fraction
 
 
 def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
+                out[i + j] += x * y
     return out
 
 
-def _poly_add(a, b):
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x + y for x, y in zip(a, b)]
-
-
-def _poly_scale(a, c):
-    return [x * c for x in a]
-
-
 def _poly_eval(a, w):
-    acc = Fraction(0)
+    acc = 0
     for c in reversed(a):
         acc = acc * w + c
     return acc
@@ -67,15 +56,43 @@ class StructureConstants:
                 "coefficients": [str(c) for c in self.coefficients]}
 
 
-def structure_constants_d1(n):
-    """Coefficient list of n * prod_(j=1..n-1) (j*w + (n-j)), length n."""
+def _degree_one(n):
+    """n * prod_(j=1..n-1) (j*w + (n-j)) as ints, length n."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    poly = [Fraction(n)]
+    poly = [n]
     for j in range(1, n):
-        poly = _poly_mul(poly, [Fraction(n - j), Fraction(j)])
-    assert len(poly) == n
-    return StructureConstants(n, 1, poly)
+        poly = _poly_mul(poly, [n - j, j])
+    return poly
+
+
+def _degree_two_scaled(l1):
+    """2^(n-2) times the degree-2 constants, as ints, from the degree-1
+    list l1 of length n; see structure_constants_d2.
+
+    The j0 sum is 1 + w + ... + w^j1, and 2^(n-2) * ((1+w)/2)^e is
+    sum_i C(e,i) 2^(n-2-e) w^i.  Grouping by e = j2 - j1, the sum over j1
+    of L1[j1] * L1[j1+e+1] * (1 + ... + w^j1) has as coefficient of w^i
+    the tail sum of those products over j1 >= i."""
+    n = len(l1)
+    total = [0] * (n - 1)
+    for e in range(n - 1):
+        tails = []
+        tail = 0
+        for j1 in reversed(range(n - 1 - e)):
+            tail += l1[j1] * l1[j1 + e + 1]
+            tails.append(tail)
+        tails.reverse()
+        binomial = [math.comb(e, i) << (n - 2 - e) for i in range(e + 1)]
+        for i, t in enumerate(tails):
+            for k, c in enumerate(binomial):
+                total[i + k] += t * c
+    return total
+
+
+def structure_constants_d1(n):
+    """Coefficient list of n * prod_(j=1..n-1) (j*w + (n-j)), length n."""
+    return StructureConstants(n, 1, [Fraction(c) for c in _degree_one(n)])
 
 
 def structure_constants_d2(n):
@@ -85,24 +102,8 @@ def structure_constants_d2(n):
             L1[j1] * L1[j2+1] * w^(j1-j0) * ((1+w)/2)^(j2-j1);
 
     the halves cancel and the coefficient list has length n-1."""
-    l1 = structure_constants_d1(n).coefficients
-    half_1_plus_w = [Fraction(1, 2), Fraction(1, 2)]
-    powers = [[Fraction(1)]]
-    for _ in range(n - 2):
-        powers.append(_poly_mul(powers[-1], half_1_plus_w))
-    total = [Fraction(0)]
-    for j2 in range(n - 1):
-        for j1 in range(j2 + 1):
-            base = _poly_scale(powers[j2 - j1], l1[j1] * l1[j2 + 1])
-            for j0 in range(j1 + 1):
-                shifted = [Fraction(0)] * (j1 - j0) + base
-                total = _poly_add(total, shifted)
-    while len(total) > 1 and total[-1] == 0:
-        total.pop()
-    if len(total) > n - 1:
-        raise AssertionError("degree-2 constants exceed the index bound")
-    total += [Fraction(0)] * (n - 1 - len(total))
-    return StructureConstants(n, 2, total)
+    scaled = _degree_two_scaled(_degree_one(n))
+    return StructureConstants(n, 2, [Fraction(c, 1 << (n - 2)) for c in scaled])
 
 
 def conic_count_closed_form(n):
@@ -116,6 +117,12 @@ def conic_count_closed_form(n):
     return int(value)
 
 
+def _count_via(n, l2_scaled):
+    if n < 3:
+        raise ValueError("n must be at least 3")
+    return Fraction(l2_scaled[n - 2], 4 << (n - 2))
+
+
 def conic_count_via_structure_constants(n):
     """The three-point route: the top degree-2 constant divided by four.
 
@@ -124,36 +131,41 @@ def conic_count_via_structure_constants(n):
     conditions, up to the factor 4 from the two degree-1 insertions."""
     if n < 3:
         raise ValueError("n must be at least 3")
-    l2 = structure_constants_d2(n)
-    return l2[n - 2] / 4
+    return _count_via(n, _degree_two_scaled(_degree_one(n)))
+
+
+def _w_equals_two(n, l1, l2_scaled):
+    scale = 1 << (n - 2)
+    return {
+        "d1_at_w2": str(_poly_eval(l1, 2)),
+        "d2_at_w2": str(Fraction(_poly_eval(l2_scaled, 2), scale)),
+        "d1_top_coefficient": str(l1[n - 1]),
+        "d2_top_coefficient": str(Fraction(l2_scaled[n - 2], scale)),
+    }
 
 
 def w_equals_two_evaluations(n):
     """Raw data for the derivation sketch: both generating polynomials
     evaluated at w = 2, next to the coefficients the sketch names."""
-    l1 = structure_constants_d1(n)
-    l2 = structure_constants_d2(n)
-    return {
-        "d1_at_w2": str(_poly_eval(l1.coefficients, Fraction(2))),
-        "d2_at_w2": str(_poly_eval(l2.coefficients, Fraction(2))),
-        "d1_top_coefficient": str(l1[n - 1]),
-        "d2_top_coefficient": str(l2[n - 2]),
-    }
+    l1 = _degree_one(n)
+    return _w_equals_two(n, l1, _degree_two_scaled(l1))
 
 
 def formulas_table(n_min=3, n_max=10):
     """Per-n comparison of the two conic counts, with the match flag."""
     rows = []
     for n in range(n_min, n_max + 1):
+        l1 = _degree_one(n)
+        l2 = _degree_two_scaled(l1)
         closed = conic_count_closed_form(n)
-        via = conic_count_via_structure_constants(n)
+        via = _count_via(n, l2)
         rows.append({
             "n": n,
-            "L1": [str(c) for c in structure_constants_d1(n).coefficients],
-            "L2": [str(c) for c in structure_constants_d2(n).coefficients],
+            "L1": [str(c) for c in l1],
+            "L2": [str(Fraction(c, 1 << (n - 2))) for c in l2],
             "closed_form": closed,
             "via_structure_constants": str(via),
             "match": via == closed,
-            "w_equals_two": w_equals_two_evaluations(n),
+            "w_equals_two": _w_equals_two(n, l1, l2),
         })
     return rows

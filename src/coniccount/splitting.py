@@ -444,11 +444,26 @@ def line_family_system(ci, slice_rng):
     return DerivedSystem(md, "lines", ring, equations, [("line", 0, ())] * len(equations))
 
 
+def _certifies_every_line(solver):
+    """Whether the solver's count is certified and equals the Bezout
+    number, so that its points are all the lines of the family."""
+    try:
+        count, certs = solver.count_and_certify()
+    except DegenerateInstance:
+        return False
+    return count == solver.bezout and all(certs.values())
+
+
 def find_line_through_point(ci, tries=40, rng_tag="lines"):
     """A line through the first marked point, found by solving the line
     conditions over GF(p) and keeping a rational solution; the slicing
-    and the eliminant randomness are reseeded until one shows up."""
+    and the eliminant randomness are reseeded until one shows up.
+
+    Without slices (n = 3) the lines through the point do not depend on
+    the try, so the search ends at the first try that certifies all of
+    them and finds none rational."""
     md = ci.md
+    fixed = (md.n - 3) // 2 == 0
     last = None
     irrational = []     # the solvers of the tries without a rational point
     for attempt in range(tries):
@@ -462,6 +477,12 @@ def find_line_through_point(ci, tries=40, rng_tag="lines"):
             continue
         if not pts:
             irrational.append(solver)
+            if fixed and _certifies_every_line(solver):
+                raise DegenerateInstance(
+                    f"no GF({ci.field.p})-rational line through the point: the "
+                    f"lines through it do not depend on the try, and try "
+                    f"{attempt + 1} certified all {solver.bezout} of them, in "
+                    f"orbits of degrees {_orbit_degrees(solver)}")
         for point, L, k in pts:
             coords = [BinaryForm(L, 1, [L.zero, L.one])]
             for bj in point:
@@ -475,11 +496,14 @@ def find_line_through_point(ci, tries=40, rng_tag="lines"):
         # the lines through the point do not depend on the try, so the
         # orbits of one try stand for all; found only now, as they cost
         # arithmetic in extension fields
-        solver = irrational[-1]
-        degrees = sorted(k for *_, k in solver.points(max_ext_degree=solver.bezout))
         reasons.append(f"{len(irrational)} had no GF({ci.field.p})-rational point, "
-                       f"and the orbit degrees of the last were {degrees}")
+                       f"and the orbit degrees of the last were "
+                       f"{_orbit_degrees(irrational[-1])}")
     if last is not None:
         reasons.append(f"the last error was: {last}")
     raise DegenerateInstance(f"no rational line found in {tries} tries: "
                              + "; ".join(reasons))
+
+
+def _orbit_degrees(solver):
+    return sorted(k for *_, k in solver.points(max_ext_degree=solver.bezout))

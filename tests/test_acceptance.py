@@ -161,7 +161,7 @@ def test_criterion_09_vanishing_grids():
             assert 3 * base > rank >= k
         ineqs = VanishingGrid(n, degrees).exclusion_inequalities()
         assert all(entry["holds"] for entry in ineqs.values())
-    _report(9, 900, t0, "all (j,k) vanish for (5,(4)) and (5,(3,2))")
+    _report(9, 60, t0, "all (j,k) vanish for (5,(4)) and (5,(3,2))")
 
 
 def test_criterion_10_quantum_identity():

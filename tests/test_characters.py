@@ -1,14 +1,15 @@
 from itertools import combinations, combinations_with_replacement
 
-import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coniccount.characters import (Character3, symmetric_power_char, E_CHAR,
                                    wedge_char, sym_char,
                                    schur_decompose, schur_char, weyl_dim,
                                    check_star_star, bott_nonvanishing_case,
                                    vanishing_verdict, vanishing_grid, rank_q,
-                                   VanishingGrid, NotACharacter)
+                                   VanishingGrid, NotACharacter,
+                                   CoefficientOverflow)
 
 
 def test_symmetric_power_ranks():
@@ -48,9 +49,8 @@ def _brute_force_wedge(base_monomials, k):
 
 def _monomials_of(char):
     out = []
-    for idx in np.argwhere(char.arr):
-        for _ in range(int(char.arr[tuple(idx)])):
-            out.append(tuple(int(e) for e in idx))
+    for m, c in char.terms().items():
+        out.extend([m] * c)
     return out
 
 
@@ -98,6 +98,15 @@ def test_schur_decompose_rejects_non_characters():
         {(1, 0, 0): -1, (0, 1, 0): -1, (0, 0, 1): -1})
     with pytest.raises(NotACharacter):
         schur_decompose(negative)
+
+
+def test_schur_decompose_rejects_alternant_outside_the_box():
+    # the alternant of x1^3 + x1^2 x2 has leading terms (5,1,0) and
+    # (3,2,1), both positive, but not the permutation (1,5,0) of the first:
+    # its stored box is only 4 wide in e2
+    not_char = Character3.from_terms({(3, 0, 0): 1, (2, 1, 0): 1})
+    with pytest.raises(NotACharacter, match="does not rebuild"):
+        schur_decompose(not_char)
 
 
 def test_decompose_round_trip():
@@ -174,3 +183,103 @@ def test_verdict_json():
     assert data["verdict"] == "vanishes"
     assert data["n"] == 5 and data["degrees"] == [3, 2]
     assert all("triple" in f for f in data["factors"])
+
+
+# mixed-degree characters: sums of scaled Schur characters of different
+# degrees, so the degree axis has more than one plane
+_triples = st.tuples(st.integers(0, 4), st.integers(0, 3),
+                     st.integers(0, 2)).map(lambda t: (t[0] + t[1] + t[2],
+                                                       t[1] + t[2], t[2]))
+_pieces = st.lists(st.tuples(_triples, st.integers(1, 5)), min_size=1,
+                   max_size=4)
+
+
+def _character(pieces):
+    total = Character3.zero()
+    for b, m in pieces:
+        total = total + schur_char(b).scale(m)
+    return total
+
+
+def _dict_product(p, q):
+    """Oracle: the product as a convolution of term dicts."""
+    out = {}
+    for (a1, a2, a3), x in p.items():
+        for (b1, b2, b3), y in q.items():
+            m = (a1 + b1, a2 + b2, a3 + b3)
+            out[m] = out.get(m, 0) + x * y
+    return {m: c for m, c in out.items() if c}
+
+
+def _merged(pieces):
+    out = {}
+    for b, m in pieces:
+        out[b] = out.get(b, 0) + m
+    return sorted(out.items(), reverse=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_pieces, _pieces, _pieces)
+def test_products_commute_associate_and_match_dict_convolution(p, q, r):
+    a, b, c = _character(p), _character(q), _character(r)
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert (a * b).terms() == _dict_product(a.terms(), b.terms())
+
+
+@settings(max_examples=40, deadline=None)
+@given(_pieces, _pieces)
+def test_sums_and_differences_across_degree_ranges(p, q):
+    a, b = _character(p), _character(q)
+    ta, tb = a.terms(), b.terms()
+    added = {m: ta.get(m, 0) + tb.get(m, 0) for m in set(ta) | set(tb)}
+    subtracted = {m: ta.get(m, 0) - tb.get(m, 0) for m in set(ta) | set(tb)}
+    assert (a + b).terms() == {m: c for m, c in added.items() if c}
+    assert (a - b).terms() == {m: c for m, c in subtracted.items() if c}
+    assert (a - a).is_zero() and a - a == Character3.zero()
+    assert a + Character3.zero() == a == Character3.zero() + a
+    assert (a + b) - b == a
+
+
+def test_sum_of_disjoint_degree_ranges():
+    low, high = symmetric_power_char(1), symmetric_power_char(6)
+    total = low + high
+    assert total.terms() == {**low.terms(), **high.terms()}
+    assert total - high == low and total - low == high
+    assert total.rank() == 3 + 28
+
+
+@settings(max_examples=40, deadline=None)
+@given(_pieces, st.integers(1, 3))
+def test_adams(p, t):
+    a = _character(p)
+    assert a.adams(t).terms() == {(t * e1, t * e2, t * e3): c
+                                  for (e1, e2, e3), c in a.terms().items()}
+    assert a.adams(t).rank() == a.rank()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_pieces)
+def test_decomposition_round_trips(p):
+    assert schur_decompose(_character(p)) == _merged(p)
+
+
+def test_product_overflow_is_raised():
+    a = Character3.from_terms({(1, 0, 0): 2 ** 31, (0, 1, 0): 1})
+    b = a.scale(2 ** 31)
+    assert (a * a).terms()[(2, 0, 0)] == 2 ** 62
+    assert (b + a).terms()[(1, 0, 0)] == 2 ** 62 + 2 ** 31
+    with pytest.raises(CoefficientOverflow, match="int64 overflow"):
+        a * a.scale(2)
+    with pytest.raises(CoefficientOverflow, match="int64 overflow"):
+        b + b
+    with pytest.raises(CoefficientOverflow, match="int64 overflow"):
+        b - b.scale(-1)
+    with pytest.raises(CoefficientOverflow, match="int64 overflow"):
+        b.scale(2)
+
+
+def test_grid_beyond_int64_is_refused():
+    # (13, (8,)) wraps int64 in its Newton sums
+    with pytest.raises(CoefficientOverflow, match="int64 overflow"):
+        VanishingGrid(13, (8,))

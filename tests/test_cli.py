@@ -55,6 +55,13 @@ def test_vanish_rejects_bad_n():
     assert res.returncode == 2
 
 
+def test_vanish_refuses_int64_overflow():
+    # at parent commits the wrapped Newton sums failed an exact division
+    res = run_cli("vanish", "--n", "13", "--degrees", "8")
+    assert res.returncode == 2
+    assert "int64 overflow" in res.stderr
+
+
 def test_splitting_conic(tmp_path):
     out = tmp_path / "split.json"
     res = run_cli("splitting", "--degrees", "2,2", "--curve", "conic",
@@ -151,5 +158,30 @@ def test_reports_match_golden_digests(tmp_path):
     out = tmp_path / "report.json"
     for args, digest in GOLDEN:
         res = run_cli(*args, "--primes", "10007", "--out", str(out))
+        assert res.returncode == 0, res.stdout + res.stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, args
+
+
+# sha256 of the vanishing grids and the formula table as written by the
+# code that kept characters as dense exponent cubes and the quantum
+# polynomials in Fractions
+GOLDEN_CERTIFY = [
+    (("vanish", "--n", "5", "--degrees", "4"),
+     "8149df0baa00ef6365af33fb6820c8a5b458b494070746b06d7f7c84b1a36588"),
+    (("vanish", "--n", "5", "--degrees", "3,2"),
+     "6ed6db9f5b508aa9b6113efdd15d1c0f6fe088220b46caac36545ecf0bc2805d"),
+    (("vanish", "--n", "7", "--degrees", "3,3"),
+     "74001e1b734ed20f9435259fbc4d751d2748b74502811a9b2ad1bf19c0467df3"),
+    (("vanish", "--n", "7", "--degrees", "5"),
+     "9a00d93f836043ea694ebac495eaa0bc5510d64dd1c0ad91f56a8f72ce5a6876"),
+    (("formulas", "--n", "3..20"),
+     "d0c24757f229d3f77c5216fbdcb375f73a2e3016661594b2baa578b690a1356c"),
+]
+
+
+def test_certify_reports_match_golden_digests(tmp_path):
+    out = tmp_path / "report.json"
+    for args, digest in GOLDEN_CERTIFY:
+        res = run_cli(*args, "--out", str(out))
         assert res.returncode == 0, res.stdout + res.stderr
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, args

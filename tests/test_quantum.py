@@ -62,3 +62,26 @@ def test_w_two_evaluations_exposed():
     data = w_equals_two_evaluations(3)
     assert data["d2_top_coefficient"] == "108"
     assert data["d1_top_coefficient"] == "6"
+
+
+def _degree_two_by_triple_sum(n):
+    """Reference: the triple sum of structure_constants_d2 term by term,
+    in Fractions."""
+    l1 = structure_constants_d1(n).coefficients
+    half = [Fraction(1, 2), Fraction(1, 2)]
+    total = [Fraction(0)] * (n - 1)
+    for j2 in range(n - 1):
+        for j1 in range(j2 + 1):
+            power = [Fraction(1)]
+            for _ in range(j2 - j1):
+                power = [a + b for a, b in zip(power + [0], [0] + power)]
+                power = [c * half[0] for c in power]
+            for j0 in range(j1 + 1):
+                for i, c in enumerate(power):
+                    total[j1 - j0 + i] += l1[j1] * l1[j2 + 1] * c
+    return total
+
+
+def test_degree_two_matches_the_triple_sum():
+    for n in range(2, 12):
+        assert structure_constants_d2(n).coefficients == _degree_two_by_triple_sum(n)

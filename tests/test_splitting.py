@@ -132,13 +132,15 @@ def test_line_splitting_on_cubic_threefold():
     assert st_ == (2, 0, 0)
     assert not is_quasi_line(st_)
     # the tangent instance of seed 1 has its six lines in one Galois orbit
-    # of degree 6, and the failure says so instead of naming no error
+    # of degree 6; the lines through the point are fixed, so the first
+    # certified try ends the search, and the failure says why
     ci = random_ci(md, F, 1, "tangent")
     with pytest.raises(DegenerateInstance) as info:
         find_line_through_point(ci, tries=3)
-    assert str(info.value) == ("no rational line found in 3 tries: 3 had no "
-                               "GF(10007)-rational point, and the orbit degrees "
-                               "of the last were [6]")
+    assert str(info.value) == ("no GF(10007)-rational line through the point: "
+                               "the lines through it do not depend on the try, "
+                               "and try 1 certified all 6 of them, in orbits "
+                               "of degrees [6]")
 
 
 def test_line_splitting_on_cubic_quadric():
