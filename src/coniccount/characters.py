@@ -10,10 +10,11 @@ so, so the degree axis is short: a homogeneous character is one plane of
 the exponent cube.  The change of coordinates is additive, so a product
 is a slice-add convolution of the two arrays and the dmins add.
 
-All arithmetic stays in int64.  Before a product the bound
+Coefficients stay in int64.  Before a product the bound
 max|a| * sum|b| on its coefficients is checked, before a sum or
 difference the bound max|a| + max|b|; when a bound reaches 2^63 the
-operation raises CoefficientOverflow instead of wrapping.
+operation raises CoefficientOverflow instead of wrapping.  The rank, a
+sum of all coefficients, is taken in Python ints when it could wrap.
 
 Decomposition into Schur pieces uses the alternant: multiplying a
 character by prod_(i<j)(x_i - x_j) turns the Schur basis into signed
