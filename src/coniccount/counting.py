@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 
 from .fields import PrimeField
-from .multipoly import PolyRing
+from .multipoly import PolyRing, linear_images
 from .unipoly import (BinaryForm, squarefree_root_count, is_squarefree,
                       roots_in_field)
 from .groebner import (groebner_basis, quotient_count, eliminant_of_linear_form,
@@ -130,19 +130,15 @@ class _LinearReduction:
         names = tuple(ring.names[v] for v in self.free)
         self.ring = PolyRing(F, len(self.free), names)
         # every variable as a linear form in the free ones
-        self.images = []
-        free_index = {v: j for j, v in enumerate(self.free)}
+        mat = []
         for v in range(nv):
-            if v in free_index:
-                self.images.append(self.ring.gen(free_index[v]))
-            else:
+            if v in pivots:
                 row = rref_rows[pivots.index(v)]
-                combo = self.ring.zero()
-                for j, w in enumerate(self.free):
-                    if row[w] != F.zero:
-                        combo = combo - self.ring.gen(j).scale(row[w])
-                self.images.append(combo)
-        self.equations = [eq.substitute(self.ring, self.images) for eq in nonlinear]
+                mat.append([F.neg(row[w]) for w in self.free])
+            else:
+                mat.append([F.one if w == v else F.zero for w in self.free])
+        self.images = linear_images(self.ring, mat)
+        self.equations = [eq.linear_substitute(self.ring, mat) for eq in nonlinear]
         self.expected_degrees = [eq.degree() for eq in nonlinear]
 
 
@@ -275,15 +271,9 @@ class DerivedSolver:
             if linalg.rank(F, mat) == m:
                 break
         chart_ring = PolyRing(F, m - 1, tuple(f"w{i}" for i in range(m - 1)))
-        images = []
-        for i in range(m):
-            combo = chart_ring.constant(mat[i][m - 1])
-            for j in range(m - 1):
-                if mat[i][j] != F.zero:
-                    combo = combo + chart_ring.gen(j).scale(mat[i][j])
-            images.append(combo)
-        affine = [eq.substitute(chart_ring, images) for eq in red.equations]
-        return affine, images, chart_ring
+        affine = [eq.linear_substitute(chart_ring, mat, affine=True)
+                  for eq in red.equations]
+        return affine, linear_images(chart_ring, mat, affine=True), chart_ring
 
     def _quotient_algebra(self):
         """Build the quotient algebra on a random affine chart and keep it

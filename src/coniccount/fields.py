@@ -149,6 +149,16 @@ class PrimeField:
         return f"GF({self.p})"
 
 
+def int64_modulus(field, length):
+    """p when ``field`` is GF(p) and a sum of ``length`` products of its
+    elements stays below 2^63, so int64 numpy arithmetic reduced mod p
+    after each such sum is exact; None otherwise (QQ, GF(p^k), or p too
+    large), where the pure-Python code must run."""
+    if isinstance(field, PrimeField) and length * field.p ** 2 < 2 ** 63:
+        return field.p
+    return None
+
+
 def _poly_trim(c):
     while c and c[-1] == 0:
         c.pop()

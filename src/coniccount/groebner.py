@@ -18,6 +18,9 @@ The public functions take and return ``MultiPoly`` objects.
 
 from heapq import heapify, heappop, heappush
 
+import numpy as np
+
+from .fields import int64_modulus
 from .multipoly import MultiPoly
 from .unipoly import is_squarefree, factor_squarefree, irreducible_root
 from . import linalg
@@ -326,6 +329,10 @@ class QuotientAlgebra:
     def linear_form_matrix(self, lam):
         """Matrix of multiplication by the linear form sum lam[v] x_v."""
         F = self.field
+        p = int64_modulus(F, len(lam))
+        if p is not None and lam:
+            return (sum(c * np.array(m, dtype=np.int64)
+                        for c, m in zip(lam, self.mats)) % p).tolist()
         n = len(self.monomials)
         total = [[F.zero] * n for _ in range(n)]
         for mat, c in zip(self.mats, lam):

@@ -1,10 +1,18 @@
 """Dense exact linear algebra over a field object.
 
 Matrices are lists of row lists of field elements.  Everything here is
-Gaussian elimination at heart; sizes in this project stay well below a
-hundred, so no care beyond exactness is needed.
+Gaussian elimination at heart.  The largest matrices are the quotient
+algebras' multiplication matrices, of the Bezout size: 72 for (4,) and
+(3,3), 144 for (2,4).  Over GF(p), ``charpoly`` runs on int64 numpy
+arrays, reduced mod p after every product sum, whenever
+(n + 1) * p^2 < 2^63 (``fields.int64_modulus``): at n = 144, every prime
+below 2.5e8.  The pure-Python code is kept for QQ, GF(p^k) and larger
+primes, and as the oracle in the tests.
 """
 
+import numpy as np
+
+from .fields import int64_modulus
 from .unipoly import UniPoly
 
 
@@ -70,7 +78,15 @@ def nullspace(field, mat):
 
 
 def charpoly(field, mat):
-    """Monic characteristic polynomial via Hessenberg reduction, O(n^3)."""
+    """Monic characteristic polynomial via Hessenberg reduction, O(n^3):
+    on int64 arrays when ``int64_modulus`` allows, else in field ops."""
+    p = int64_modulus(field, len(mat) + 1)
+    if p is not None:
+        return UniPoly(field, _charpoly_int64(mat, p))
+    return _charpoly_python(field, mat)
+
+
+def _charpoly_python(field, mat):
     n = len(mat)
     h = [list(r) for r in mat]
     for c in range(n - 2):
@@ -112,3 +128,37 @@ def _hessenberg_charpoly(field, h):
                 term = term - polys[i - 1 - m].scale(coeff)
         polys.append(term)
     return polys[n]
+
+
+def _charpoly_int64(mat, p):
+    """Coefficients of the characteristic polynomial of a matrix over GF(p),
+    low degree first, by ``charpoly``'s reduction and recurrence on int64
+    arrays.  Every sum below has at most n + 1 terms under p^2."""
+    n = len(mat)
+    h = np.array(mat, dtype=np.int64).reshape(n, n)
+    for c in range(n - 2):
+        nonzero = np.flatnonzero(h[c + 1:, c])
+        if not len(nonzero):
+            continue
+        pivot = c + 1 + int(nonzero[0])
+        if pivot != c + 1:
+            h[[c + 1, pivot]] = h[[pivot, c + 1]]
+            h[:, [c + 1, pivot]] = h[:, [pivot, c + 1]]
+        f = h[c + 2:, c] * pow(int(h[c + 1, c]), p - 2, p) % p
+        if f.any():
+            # one similarity for the whole column: the row operations
+            # row_i -= f_i*row_{c+1} commute, and so do their inverses
+            h[c + 2:] = (h[c + 2:] - np.outer(f, h[c + 1])) % p
+            h[:, c + 1] = (h[:, c + 1] + h[:, c + 2:] @ f) % p
+    # polys[i] = x*polys[i-1] - sum_r h[r][i-1] * q[r] * polys[r], r < i,
+    # with q[r] the product of the subdiagonal entries h[j][j-1], r < j < i
+    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
+    polys[0, 0] = 1
+    q = np.ones(1, dtype=np.int64)
+    for i in range(1, n + 1):
+        coeff = h[:i, i - 1] * q % p
+        polys[i, 1:i + 1] = polys[i - 1, :i]
+        polys[i, :i + 1] = (polys[i, :i + 1] - coeff @ polys[:i, :i + 1]) % p
+        if i < n:
+            q = np.append(q * h[i, i - 1] % p, 1)
+    return polys[n].tolist()

@@ -4,9 +4,18 @@ Terms live in a dict mapping exponent tuples to nonzero coefficients, so
 equality is order-independent; every textual or JSON serialization sorts
 terms by graded reverse-lexicographic order, which keeps all outputs
 byte-stable.  Instances are treated as immutable.
+
+A linear change of variables of a form over GF(p) runs on int64 numpy
+arrays when ``fields.int64_modulus`` allows it: the coefficients go into
+a degree-d tensor, each axis is contracted with the matrix, and the
+result is folded back into monomials.  Otherwise it is a ``substitute``.
 """
 
-from .fields import field_pow
+from functools import lru_cache
+
+import numpy as np
+
+from .fields import field_pow, int64_modulus
 
 
 def grevlex_key(mon):
@@ -220,6 +229,20 @@ class MultiPoly:
             out = out + term
         return out
 
+    def linear_substitute(self, ring, mat, affine=False):
+        """The ring map sending variable i to the linear form
+        sum_j mat[i][j] y_j of ``ring``, as ``linear_images`` builds it;
+        with ``affine`` the last y is 1, so the last column is constant."""
+        d = self.degree()
+        p = int64_modulus(ring.field, self.ring.nvars)
+        if p is None or d < 1 or not mat[0] or not self.is_homogeneous():
+            return self.substitute(ring, linear_images(ring, mat, affine))
+        terms = _linear_change_int64(self.terms, d, mat, p)
+        if affine:
+            # a form of degree d: the last exponent is d minus the others
+            terms = {m[:-1]: c for m, c in terms.items()}
+        return MultiPoly(ring, terms)
+
     def map_coefficients(self, func, new_field):
         """Apply ``func`` to every coefficient, landing in ``new_field``."""
         ring = PolyRing(new_field, self.ring.nvars, self.ring.names)
@@ -291,3 +314,43 @@ class MultiPoly:
                            for i, e in enumerate(m) if e)
             parts.append(f"({c})" + (f"*{mon}" if mon else ""))
         return " + ".join(parts)
+
+
+def linear_images(ring, mat, affine=False):
+    """The linear forms sum_j row[j] y_j of ``ring``, one per row of
+    ``mat``; with ``affine`` the last column is the constant term."""
+    n = ring.nvars
+    mons = [tuple(int(i == j) for i in range(n)) for j in range(n + affine)]
+    return [ring.from_dict(dict(zip(mons, row))) for row in mat]
+
+
+def _linear_change_int64(terms, d, mat, p):
+    """The terms of f(A y) for a form f of degree d >= 1 with the given
+    terms, A = mat (k x m) over GF(p), as exponent tuple -> int."""
+    k, m = len(mat), len(mat[0])
+    tensor = np.zeros((k,) * d, dtype=np.int64)
+    for mon, c in terms.items():
+        # x^e is the entry at the sorted index tuple with e_i copies of i
+        tensor[sum(((i,) * e for i, e in enumerate(mon)), ())] = c
+    a = np.array(mat, dtype=np.int64)
+    for _ in range(d):
+        # each pass replaces the leading axis by a trailing one of length m
+        tensor = np.tensordot(tensor, a, axes=(0, 0)) % p
+    positions, monomials = _fold(m, d)
+    coeffs = np.zeros(len(monomials), dtype=np.int64)
+    np.add.at(coeffs, positions, tensor.ravel())
+    coeffs %= p
+    nonzero = np.flatnonzero(coeffs)
+    return dict(zip([monomials[i] for i in nonzero.tolist()],
+                    coeffs[nonzero].tolist()))
+
+
+@lru_cache(maxsize=None)
+def _fold(m, d):
+    """For the m^d entries of a degree-d tensor on m variables, in C
+    order, the position of their monomial in the returned list of the
+    distinct exponent tuples."""
+    index = np.indices((m,) * d).reshape(d, -1)
+    exps = np.stack([(index == j).sum(axis=0) for j in range(m)], axis=1)
+    monomials, positions = np.unique(exps, axis=0, return_inverse=True)
+    return positions.reshape(-1), [tuple(e) for e in monomials.tolist()]

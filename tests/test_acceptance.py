@@ -68,7 +68,7 @@ def test_criterion_04_quartic_fourfold_count():
     for t in rep.trials:
         assert t.certificates["quotient_dim_equals_bezout"]
         assert t.certificates["eliminant_squarefree"]
-    _report(4, 120, t0, "count --degrees 4 -> 72, quotient = Bezout = 72")
+    _report(4, 30, t0, "count --degrees 4 -> 72, quotient = Bezout = 72")
 
 
 def test_criterion_05_bezout_equals_formula():

@@ -114,6 +114,18 @@ def test_groebner_backend_counts():
     assert sorted(rep.degree_profile) == [1, 1, 2, 2, 3]
 
 
+@pytest.mark.parametrize("degrees, prime, count", [
+    ((2, 3), 2 ** 31 - 1, 12),
+    ((2, 2, 3), 2 ** 61 - 1, 24),
+])
+def test_count_over_primes_too_large_for_int64(degrees, prime, count):
+    # n * p^2 overflows int64 at these primes, so the pure-Python code
+    # counts and certifies
+    rep = count_conics(degrees, primes=(prime,))
+    assert rep.count == count and rep.matches_expected
+    assert all(all(t.certificates.values()) for t in rep.trials)
+
+
 def test_verify_conics_and_orbit_degrees():
     for degrees, total in [((3,), 6), ((2, 2), 2), ((2,), 1)]:
         ci, results, record = solve_and_verify(degrees, prime=10007, seed=0)

@@ -6,6 +6,8 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from coniccount.conic_system import dimension_from_degrees
+from coniccount.counting import run_trial
 from coniccount.fields import QQ, PrimeField
 from coniccount.multipoly import PolyRing, grevlex_key
 from coniccount.groebner import (groebner_basis, quotient_count, INFINITE,
@@ -264,6 +266,31 @@ def test_basis_matches_sympy_over_the_rationals():
     for _ in range(8):
         gens = _random_system(rng, R, lambda: Fraction(rng.randrange(-9, 10)), 2)
         assert sorted(_as_lists(groebner_basis(gens))) == sorted(_sympy_basis(gens))
+
+
+@pytest.mark.parametrize("degrees", [(3,), (2, 2), (2, 3)])
+def test_derived_system_count_and_eliminant_match_sympy(degrees):
+    # the Groebner route on a derived system: its quotient dimension and
+    # the eliminant of a fixed linear form, against sympy's lex bases
+    p = 10007
+    F = PrimeField(p)
+    md = dimension_from_degrees(degrees)
+    *_, solver, _ = run_trial(md, "secant", p, 0, method="groebner")
+    assert solver.route == "groebner"
+    chart_eqs, _, chart = solver._affine_chart()
+    basis = groebner_basis(chart_eqs)
+    lam = [F.from_int(3 + 7 * v) for v in range(chart.nvars)]
+    elim = eliminant_of_linear_form(QuotientAlgebra(basis), lam)
+    assert quotient_count(basis) == _lex_standard_monomial_count(chart_eqs)
+    assert quotient_count(basis) == solver.bezout == elim.degree
+    w = sympy.symbols(f"w0:{chart.nvars}")
+    t = sympy.Symbol("t")
+    polys = [sympy.Poly.from_dict(eq.terms, *w, modulus=p).as_expr()
+             for eq in chart_eqs]
+    form = t - sum(c * x for c, x in zip(lam, w))
+    last = sympy.groebner([*polys, form], *w, t, order="lex", modulus=p).exprs[-1]
+    ref = [int(c) % p for c in sympy.Poly(last, t, modulus=p).all_coeffs()[::-1]]
+    assert list(elim.coeffs) == [F.div(c, ref[-1]) for c in ref]
 
 
 # -- the packed monomials ----------------------------------------------------

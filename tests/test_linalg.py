@@ -1,16 +1,22 @@
 """Cross-check of the mod-p linear algebra against sympy's DomainMatrix
-over GF(p), on seeded random matrices, singular ones included."""
+over GF(p), on seeded random matrices, singular ones included; and of
+the int64 numpy kernels (characteristic polynomial, linear change of
+variables) against the pure-Python code they stand in for."""
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
 from coniccount import linalg
-from coniccount.fields import PrimeField
+from coniccount.fields import PrimeField, int64_modulus
+from coniccount.multipoly import PolyRing, linear_images
+from coniccount.unipoly import UniPoly
 
 PRIMES = (101, 10007)
+INT64_PRIMES = (101, 10007, 65537)
 
 
 def _random_matrix(rng, p, nrows, ncols, rank_cap):
@@ -75,13 +81,102 @@ def test_nullspace_matches_sympy(p):
                 _ints(p, ref.rref()[0])
 
 
-@pytest.mark.parametrize("p", PRIMES)
+# -- characteristic polynomials and the int64 kernels -------------------------
+
+
+def _sympy_charpoly(p, mat):
+    """sympy's characteristic polynomial, low degree first."""
+    return [int(c) % p for c in _sympy(p, mat).charpoly()][::-1]
+
+
+def _sparse_matrix(rng, p, n, density):
+    return [[rng.randrange(1, p) if rng.random() < density else 0
+             for _ in range(n)] for _ in range(n)]
+
+
+def _block_diagonal(rng, p, n):
+    """A random block-diagonal matrix of size n, blocks of size 1 to 12,
+    with its rows and columns permuted alike, and its blocks."""
+    blocks, size = [], 0
+    while size < n:
+        s = min(rng.randrange(1, 13), n - size)
+        blocks.append(_random_matrix(rng, p, s, s, rng.randrange(0, s + 1)))
+        size += s
+    mat = [[0] * n for _ in range(n)]
+    at = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            mat[at + i][at:at + len(block)] = row
+        at += len(block)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [[mat[i][j] for j in perm] for i in perm], blocks
+
+
+@pytest.mark.parametrize("p", INT64_PRIMES)
 def test_charpoly_matches_sympy(p):
+    # both paths: the int64 kernel, which charpoly takes at these primes,
+    # and the pure-Python code; sparse matrices make the reduction pivot
     F = PrimeField(p)
     rng = random.Random(f"charpoly:{p}")
-    for _ in range(30):
-        n = rng.randrange(1, 9)
-        mat = _random_matrix(rng, p, n, n, rng.randrange(0, n + 1))
-        chi = linalg.charpoly(F, mat)
-        ref = [int(c) % p for c in _sympy(p, mat).charpoly()]
-        assert list(chi.coeffs) == ref[::-1]
+    for n in range(1, 17):
+        for mat in (_random_matrix(rng, p, n, n, rng.randrange(0, n + 1)),
+                    _sparse_matrix(rng, p, n, 0.2)):
+            ref = _sympy_charpoly(p, mat)
+            assert list(linalg.charpoly(F, mat).coeffs) == ref
+            assert linalg._charpoly_int64(mat, p) == ref
+            assert list(linalg._charpoly_python(F, mat).coeffs) == ref
+
+
+@pytest.mark.parametrize("p", INT64_PRIMES)
+def test_charpoly_kernels_agree_up_to_150(p):
+    # a block-diagonal matrix has zero subdiagonal columns, where the
+    # reduction skips a pivot; its charpoly is the product over the blocks
+    F = PrimeField(p)
+    rng = random.Random(f"charpoly-blocks:{p}")
+    for n in (24, 40, 72, 101, 150):
+        mat, blocks = _block_diagonal(rng, p, n)
+        expect = UniPoly.constant(F, F.one)
+        for block in blocks:
+            expect = expect * UniPoly(F, _sympy_charpoly(p, block))
+        assert linalg.charpoly(F, mat) == expect
+        assert linalg._charpoly_python(F, mat) == expect
+    for n in (24, 72) if p != 10007 else (24, 72, 150):
+        mat = _sparse_matrix(rng, p, n, 0.5)
+        assert linalg.charpoly(F, mat) == linalg._charpoly_python(F, mat)
+
+
+def test_charpoly_beyond_int64_takes_the_python_path(monkeypatch):
+    p = 2 ** 31 - 1
+    F = PrimeField(p)
+    assert int64_modulus(F, 13) is None
+
+    def forbidden(*args):
+        raise AssertionError("int64 kernel used where 13 p^2 overflows")
+
+    monkeypatch.setattr(linalg, "_charpoly_int64", forbidden)
+    rng = random.Random("charpoly-big")
+    mat = _random_matrix(rng, p, 12, 12, 12)
+    assert list(linalg.charpoly(F, mat).coeffs) == _sympy_charpoly(p, mat)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_linear_substitute_matches_substitute(data):
+    p = data.draw(st.sampled_from(INT64_PRIMES))
+    F = PrimeField(p)
+    k = data.draw(st.integers(1, 4))
+    affine = data.draw(st.booleans())
+    m = data.draw(st.integers(1 + affine, 5))
+    d = data.draw(st.integers(1, 5))
+    element = st.one_of(st.just(0), st.integers(1, p - 1))
+    source = PolyRing(F, k)
+    target = PolyRing(F, m - affine)
+    mons = source.monomials_of_degree(d)
+    f = source.from_dict(dict(zip(mons, data.draw(
+        st.lists(element, min_size=len(mons), max_size=len(mons))))))
+    mat = data.draw(st.lists(st.lists(element, min_size=m, max_size=m),
+                             min_size=k, max_size=k))
+    assert int64_modulus(F, k) == p
+    expect = f.substitute(target, linear_images(target, mat, affine))
+    assert f.linear_substitute(target, mat, affine) == expect
