@@ -149,16 +149,6 @@ class PrimeField:
         return f"GF({self.p})"
 
 
-def int64_modulus(field, length):
-    """p when ``field`` is GF(p) and a sum of ``length`` products of its
-    elements stays below 2^63, so int64 numpy arithmetic reduced mod p
-    after each such sum is exact; None otherwise (QQ, GF(p^k), or p too
-    large), where the pure-Python code must run."""
-    if isinstance(field, PrimeField) and length * field.p ** 2 < 2 ** 63:
-        return field.p
-    return None
-
-
 def _poly_trim(c):
     while c and c[-1] == 0:
         c.pop()
@@ -287,6 +277,22 @@ class ExtensionField:
 
     def __repr__(self):
         return f"GF({self.p}^{self.degree})"
+
+
+def int64_modulus(field, length):
+    """p when ``field`` is GF(p) or GF(p^k) and a sum of ``length`` products
+    of field elements stays below 2^63 on int64 GF(p) coordinates, so numpy
+    arithmetic reduced mod p after each such sum is exact; None otherwise
+    (QQ, or p too large), where the pure-Python code must run.  A product
+    in GF(p^k) is a sum of k products of coordinates, so there the bound
+    is on length * k products."""
+    if isinstance(field, PrimeField):
+        products = length
+    elif isinstance(field, ExtensionField):
+        products = length * field.degree
+    else:
+        return None
+    return field.p if products * field.p ** 2 < 2 ** 63 else None
 
 
 def field_to_json(field):

@@ -20,7 +20,7 @@ from heapq import heapify, heappop, heappush
 
 import numpy as np
 
-from .fields import int64_modulus
+from .fields import PrimeField, int64_modulus
 from .multipoly import MultiPoly
 from .unipoly import is_squarefree, factor_squarefree, irreducible_root
 from . import linalg
@@ -330,7 +330,7 @@ class QuotientAlgebra:
         """Matrix of multiplication by the linear form sum lam[v] x_v."""
         F = self.field
         p = int64_modulus(F, len(lam))
-        if p is not None and lam:
+        if p is not None and isinstance(F, PrimeField) and lam:
             return (sum(c * np.array(m, dtype=np.int64)
                         for c, m in zip(lam, self.mats)) % p).tolist()
         n = len(self.monomials)

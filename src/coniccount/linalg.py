@@ -3,16 +3,29 @@
 Matrices are lists of row lists of field elements.  Everything here is
 Gaussian elimination at heart.  The largest matrices are the quotient
 algebras' multiplication matrices, of the Bezout size: 72 for (4,) and
-(3,3), 144 for (2,4).  Over GF(p), ``charpoly`` runs on int64 numpy
-arrays, reduced mod p after every product sum, whenever
-(n + 1) * p^2 < 2^63 (``fields.int64_modulus``): at n = 144, every prime
-below 2.5e8.  The pure-Python code is kept for QQ, GF(p^k) and larger
-primes, and as the oracle in the tests.
+(3,3), 144 for (2,4).
+
+Over GF(p) the work runs on int64 numpy arrays, reduced mod p after
+every product sum, whenever ``fields.int64_modulus`` allows (a sum of the
+needed number of products below p stays under 2^63):
+
+- ``rref``, and with it ``rank`` and ``nullspace``, by whole-matrix row
+  updates, one per pivot, when 2 * p^2 < 2^63: every prime below 2^31;
+- ``charpoly`` by Hessenberg reduction when (n + 1) * p^2 < 2^63: at
+  n = 144, every prime below 2.5e8.
+
+Over GF(p^k), ``rank`` runs on the same kernel through the regular
+representation: each entry a becomes the k x k GF(p) matrix of
+multiplication by a, and the GF(p)-rank of the result is k times the
+rank, since the image is a GF(p^k)-subspace.  ``rref`` and ``nullspace``
+over GF(p^k) need their results in GF(p^k) coordinates and stay in
+field operations, as do QQ, larger primes and ``charpoly`` over GF(p^k).
+The pure-Python code is the oracle in the tests.
 """
 
 import numpy as np
 
-from .fields import int64_modulus
+from .fields import ExtensionField, PrimeField, int64_modulus
 from .unipoly import UniPoly
 
 
@@ -26,7 +39,16 @@ def transpose(a):
 
 
 def rref(field, mat):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
+    """Reduced row echelon form; returns (rows, pivot column list): on
+    int64 arrays over GF(p) when ``int64_modulus`` allows, else in field
+    ops."""
+    p = int64_modulus(field, 2)
+    if p is not None and isinstance(field, PrimeField):
+        return _rref_int64(mat, p)
+    return _rref_python(field, mat)
+
+
+def _rref_python(field, mat):
     rows = [list(r) for r in mat]
     pivots = []
     r = 0
@@ -55,9 +77,69 @@ def rref(field, mat):
 
 
 def rank(field, mat):
-    if not mat:
+    if not mat or not mat[0]:
         return 0
+    p = int64_modulus(field, 2)
+    if p is not None and isinstance(field, ExtensionField):
+        # the image is a GF(p^k)-subspace: its GF(p)-dimension is k * rank
+        regular = _regular_representation(field, mat)
+        return len(_rref_int64(regular, p)[1]) // field.degree
     return len(rref(field, mat)[1])
+
+
+def _rref_int64(mat, p):
+    """``rref`` over GF(p) on an int64 array: per pivot, one outer-product
+    update of every row, so each entry is x - f*y with x, f, y below p."""
+    if not len(mat):
+        return [], []
+    a = np.array(mat, dtype=np.int64)
+    nrows, ncols = a.shape
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        nonzero = np.flatnonzero(a[r:, c])
+        if not len(nonzero):
+            continue
+        pivot = r + int(nonzero[0])
+        if pivot != r:
+            a[[r, pivot]] = a[[pivot, r]]
+        # columns left of c vanish in rows r onwards
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), p - 2, p) % p
+        f = a[:, c].copy()
+        f[r] = 0
+        a[:, c:] -= np.outer(f, a[r, c:])
+        a[:, c:] %= p
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return a.tolist(), pivots
+
+
+def _power_table(field):
+    """(k, k, k) int64 array: [l, j, i] is the t^i coefficient of t^(l+j)
+    modulo the field's modulus."""
+    p, k, m = field.p, field.degree, field.modulus
+    powers = [[1] + [0] * (k - 1)]
+    for _ in range(2 * k - 2):
+        prev = powers[-1]
+        # t * prev, with t^k = -(m_0 + ... + m_{k-1} t^{k-1})
+        top = prev[-1]
+        powers.append([(lo - top * mj) % p
+                       for lo, mj in zip([0] + prev[:-1], m)])
+    return np.array([[powers[l + j] for j in range(k)] for l in range(k)],
+                    dtype=np.int64)
+
+
+def _regular_representation(field, mat):
+    """The GF(p) matrix of ``mat`` over GF(p^k): entry (r, c) becomes the
+    k x k block whose column j holds the coordinates of a_rc * t^j.  Each
+    coordinate is a sum of k products below p."""
+    p, k = field.p, field.degree
+    coeffs = np.array(mat, dtype=np.int64).reshape(len(mat), -1, k)
+    blocks = np.einsum("rcl,lji->rcij", coeffs, _power_table(field)) % p
+    nrows, ncols = coeffs.shape[:2]
+    return blocks.transpose(0, 2, 1, 3).reshape(nrows * k, ncols * k)
 
 
 def nullspace(field, mat):
@@ -81,7 +163,7 @@ def charpoly(field, mat):
     """Monic characteristic polynomial via Hessenberg reduction, O(n^3):
     on int64 arrays when ``int64_modulus`` allows, else in field ops."""
     p = int64_modulus(field, len(mat) + 1)
-    if p is not None:
+    if p is not None and isinstance(field, PrimeField):
         return UniPoly(field, _charpoly_int64(mat, p))
     return _charpoly_python(field, mat)
 

@@ -124,10 +124,11 @@ class ThreeTermComplex:
                     raise ComplexInvariantError("composition of the maps is nonzero")
         if self.beta:
             r = len(self.beta)
-            minors = []
-            for cols in itertools.combinations(range(len(self.mid_degrees)), r):
-                minors.append(_form_det(F, [[self.beta[i][j] for j in cols]
-                                            for i in range(r)]))
+            # lazily: the test stops at the first minor set with unit gcd
+            minors = (_form_det(F, [[self.beta[i][j] for j in cols]
+                                    for i in range(r)])
+                      for cols in itertools.combinations(
+                          range(len(self.mid_degrees)), r))
             if binary_forms_common_root(minors):
                 raise ComplexInvariantError("second map drops rank at a point")
         return self

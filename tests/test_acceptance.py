@@ -108,7 +108,7 @@ def test_criterion_07_conic_certification():
             assert all(verified for _, verified, _ in results)
             verified_count = sum(k for _, verified, k in results if verified)
             assert verified_count == expected == record.count
-    _report(7, 120, t0, "every reconstructed conic divides the restrictions")
+    _report(7, 20, t0, "every reconstructed conic divides the restrictions")
 
 
 def test_criterion_08_quasi_line_splittings():
@@ -134,7 +134,7 @@ def test_criterion_08_quasi_line_splittings():
     for m in range(-5, 2):
         h0, h1 = hypercohomology_dims(cx, m)
         assert h0 - h1 == deg + rank * (m + 1)
-    _report(8, 300, t0, "conics split (2,1,1), line splits (2,0,0), RR holds")
+    _report(8, 20, t0, "conics split (2,1,1), line splits (2,0,0), RR holds")
 
 
 def test_criterion_09_vanishing_grids():

@@ -1,6 +1,7 @@
 """Cross-check of the mod-p linear algebra against sympy's DomainMatrix
 over GF(p), on seeded random matrices, singular ones included; and of
-the int64 numpy kernels (characteristic polynomial, linear change of
+the int64 numpy kernels (row reduction, rank over GF(p^k) through the
+regular representation, characteristic polynomial, linear change of
 variables) against the pure-Python code they stand in for."""
 
 import random
@@ -11,11 +12,10 @@ from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
 from coniccount import linalg
-from coniccount.fields import PrimeField, int64_modulus
+from coniccount.fields import ExtensionField, PrimeField, int64_modulus
 from coniccount.multipoly import PolyRing, linear_images
-from coniccount.unipoly import UniPoly
+from coniccount.unipoly import UniPoly, factor_squarefree, is_squarefree
 
-PRIMES = (101, 10007)
 INT64_PRIMES = (101, 10007, 65537)
 
 
@@ -51,7 +51,7 @@ def _ints(p, dm):
     return [[int(c) % p for c in row] for row in dm.to_list()]
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", INT64_PRIMES)
 def test_rref_and_rank_match_sympy(p):
     F = PrimeField(p)
     singular = 0
@@ -65,7 +65,7 @@ def test_rref_and_rank_match_sympy(p):
     assert singular >= 10
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", INT64_PRIMES)
 def test_nullspace_matches_sympy(p):
     F = PrimeField(p)
     for mat in _cases(p):
@@ -79,6 +79,102 @@ def test_nullspace_matches_sympy(p):
             ref = _sympy(p, mat).nullspace()
             assert _ints(p, _sympy(p, basis).rref()[0]) == \
                 _ints(p, ref.rref()[0])
+
+
+@pytest.mark.parametrize("p", INT64_PRIMES)
+def test_rref_kernels_agree(p):
+    # zero rows and columns, single rows and columns, wide and tall
+    F = PrimeField(p)
+    rng = random.Random(f"rref-kernels:{p}")
+    shapes = [(1, 1), (1, 7), (7, 1), (3, 9), (9, 3), (12, 12), (30, 45)]
+    for nrows, ncols in shapes:
+        for rank_cap in {0, 1, min(nrows, ncols) // 2, min(nrows, ncols)}:
+            mat = _random_matrix(rng, p, nrows, ncols, rank_cap)
+            for j in rng.sample(range(ncols), ncols // 3):
+                for row in mat:
+                    row[j] = 0
+            ref = linalg._rref_python(F, mat)
+            assert linalg._rref_int64(mat, p) == ref
+            assert linalg.rref(F, mat) == ref
+    assert linalg._rref_int64([[0] * 5] * 4, p) == ([[0] * 5] * 4, [])
+    assert linalg._rref_int64([[], []], p) == ([[], []], [])
+    assert linalg._rref_int64([], p) == ([], [])
+
+
+def _irreducible_modulus(rng, p, k):
+    F = PrimeField(p)
+    while True:
+        f = UniPoly(F, [rng.randrange(p) for _ in range(k)] + [1])
+        if is_squarefree(f) and [g.degree for g in factor_squarefree(f, rng)] == [k]:
+            return list(f.coeffs)
+
+
+def _product(L, b, c):
+    out = []
+    for row in b:
+        new = []
+        for j in range(len(c[0])):
+            acc = L.zero
+            for x, crow in zip(row, c):
+                acc = L.add(acc, L.mul(x, crow[j]))
+            new.append(acc)
+        out.append(new)
+    return out
+
+
+def _full_rank(L, rng, nrows, ncols, rank):
+    """A nrows x rank (tall) or rank x ncols (wide) matrix over L holding
+    an identity block at random rows or columns, so of rank ``rank``."""
+    tall = nrows != rank
+    n = nrows if tall else ncols
+    lines = [[L.one if i == j else L.zero for j in range(rank)]
+             for i in range(rank)]
+    lines += [[L.random_element(rng) for _ in range(rank)]
+              for _ in range(n - rank)]
+    rng.shuffle(lines)
+    return lines if tall else linalg.transpose(lines)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_extension_rank_matches_python_rref(k):
+    # rank(B*C) = s for B of size r x s and C of size s x c, both of rank
+    # s; a fresh irreducible modulus for every prime
+    rng = random.Random(f"extension-rank:{k}")
+    for p in INT64_PRIMES:
+        L = ExtensionField(p, _irreducible_modulus(rng, p, k))
+        assert int64_modulus(L, 2) == p
+        for _ in range(6):
+            r, c = rng.randrange(1, 9), rng.randrange(1, 9)
+            s = rng.randrange(0, min(r, c) + 1)
+            if s:
+                mat = _product(L, _full_rank(L, rng, r, s, s),
+                               _full_rank(L, rng, s, c, s))
+            else:
+                mat = [[L.zero] * c for _ in range(r)]
+            assert linalg.rank(L, mat) == s
+            assert len(linalg._rref_python(L, mat)[1]) == s
+
+
+def test_rank_beyond_int64_takes_the_python_path(monkeypatch):
+    p = 2 ** 61 - 1
+    F = PrimeField(p)
+    L = ExtensionField(p, [1, 0, 1])  # p = 3 mod 4: -1 is not a square
+    assert int64_modulus(F, 2) is None and int64_modulus(L, 2) is None
+
+    def forbidden(*args):
+        raise AssertionError("int64 kernel used where 2 p^2 overflows")
+
+    monkeypatch.setattr(linalg, "_rref_int64", forbidden)
+    monkeypatch.setattr(linalg, "_regular_representation", forbidden)
+    rng = random.Random("rank-big")
+    mat = _random_matrix(rng, p, 6, 8, 4)
+    rows, pivots = linalg.rref(F, mat)
+    ref, ref_pivots = _sympy(p, mat).rref()
+    assert rows == _ints(p, ref) and tuple(pivots) == tuple(ref_pivots)
+    assert linalg.rank(F, mat) == 4
+    assert len(linalg.nullspace(F, mat)) == 4
+    lifted = [[L.from_base(x) for x in row] for row in mat]
+    assert linalg.rank(L, lifted) == 4
 
 
 # -- characteristic polynomials and the int64 kernels -------------------------
