@@ -81,10 +81,12 @@ def test_nullspace_matches_sympy(p):
                 _ints(p, ref.rref()[0])
 
 
-@pytest.mark.parametrize("p", INT64_PRIMES)
+@pytest.mark.parametrize("p", INT64_PRIMES + (2 ** 31 - 1,))
 def test_rref_kernels_agree(p):
-    # zero rows and columns, single rows and columns, wide and tall
+    # zero rows and columns, single rows and columns, wide and tall; the
+    # last prime is the largest with 2 p^2 < 2^63
     F = PrimeField(p)
+    assert int64_modulus(F, 2) == p
     rng = random.Random(f"rref-kernels:{p}")
     shapes = [(1, 1), (1, 7), (7, 1), (3, 9), (9, 3), (12, 12), (30, 45)]
     for nrows, ncols in shapes:
