@@ -124,7 +124,7 @@ class ThreeTermComplex:
                     raise ComplexInvariantError("composition of the maps is nonzero")
         if self.beta:
             r = len(self.beta)
-            # lazily: the test stops at the first minor set with unit gcd
+            # a generator: the common-root test stops at the first unit gcd
             minors = (_form_det(F, [[self.beta[i][j] for j in cols]
                                     for i in range(r)])
                       for cols in itertools.combinations(
