@@ -303,43 +303,41 @@ class DerivedSolver:
 
     # -- point extraction --------------------------------------------------
 
-    def points(self, max_ext_degree=6):
+    def points(self):
         """Solutions as full projective a-points.
 
         Returns (point, field, orbit_degree) triples: extension-field
         solutions are reported once per Galois orbit, with the orbit size
-        as degree.  Orbits of degree above ``max_ext_degree`` are left
-        out, so the degrees sum to the count only when every orbit is
-        small enough."""
+        as degree, and every orbit is reported, so the degrees sum to the
+        count."""
         handler = getattr(self, f"_points_{self.route}")
         # every a-variable is a linear form in the free ones
         return [(_evaluate_forms(self.reduction.images, free_pt, L), L, k)
-                for free_pt, L, k in handler(max_ext_degree)]
+                for free_pt, L, k in handler()]
 
-    def _points_trivial(self, max_ext_degree):
+    def _points_trivial(self):
         F = self.reduction.field
         if any(self.reduction.equations):
             return []
         return [((F.one,), F, 1)]
 
-    def _binary_points(self, form, max_ext_degree):
+    def _binary_points(self, form):
         """One root (x0, x1) per irreducible factor of a binary form in
-        t = x0/x1, up to the degree cap."""
+        t = x0/x1."""
         pts = []
         for factor in BinaryForm.from_multipoly(form).factors(self.rng):
-            if factor.degree <= max_ext_degree:
-                (u, v), L = factor.root()
-                pts.append(((v, u), L, factor.degree))
+            (u, v), L = factor.root()
+            pts.append(((v, u), L, factor.degree))
         return pts
 
-    def _points_binary(self, max_ext_degree):
+    def _points_binary(self):
         (f,) = self.reduction.equations
-        return self._binary_points(f, max_ext_degree)
+        return self._binary_points(f)
 
-    def _points_resultant(self, max_ext_degree):
+    def _points_resultant(self):
         res, var = self._resultant_eliminant()
         pts = []
-        for (a, b), L, k in self._binary_points(res, max_ext_degree):
+        for (a, b), L, k in self._binary_points(res):
             # the fiber over [a:b] is cut out by the binary forms in
             # (x_var, s) obtained by putting a*s and b*s for the other two
             # variables; its points are the roots of their gcd at s = 1
@@ -359,11 +357,11 @@ class DerivedSolver:
                 pts.append((tuple(point), L, k))
         return pts
 
-    def _points_groebner(self, max_ext_degree):
+    def _points_groebner(self):
         if self._groebner_state is None:
             self.count_and_certify()
         algebra, chart = self._groebner_state
-        raw, _ = solve_zero_dimensional(algebra, self.rng, max_ext_degree=max_ext_degree)
+        raw, _ = solve_zero_dimensional(algebra, self.rng)
         return [(_evaluate_forms(chart, coords, L), L, k) for coords, L, k in raw]
 
 
@@ -535,14 +533,17 @@ def solve_and_verify(degrees, variant="secant", prime=DEFAULT_PRIMES[0],
 
     Returns (ci, results, trial_record) where results holds one
     (conic, verified, orbit_degree) triple per Galois orbit of solutions
-    of degree at most ``max_ext_degree``.  Larger orbits are skipped, so
-    the orbit degrees can sum to less than the count: (2, 3) over
-    GF(31013) with seed 1 returns 2 of its 12 conics."""
+    of degree at most ``max_ext_degree``.  The solver builds every orbit's
+    point, but verification and splitting cost grows with the degree, so
+    larger orbits are left out here and the orbit degrees can sum to less
+    than the count: (2, 3) over GF(31013) with seed 1 returns 2 of its
+    12 conics."""
     md = dimension_from_degrees(degrees)
     ci, ansatze, ds, solver, record = run_trial(md, variant, prime, seed,
                                                 method, retry_limit)
     results = []
-    for point, L, k in solver.points(max_ext_degree):
-        conic = reconstruct_conic(ansatze[0], point, L)
-        results.append((conic, verify_conic(ci, conic), k))
+    for point, L, k in solver.points():
+        if k <= max_ext_degree:
+            conic = reconstruct_conic(ansatze[0], point, L)
+            results.append((conic, verify_conic(ci, conic), k))
     return ci, results, record

@@ -280,19 +280,13 @@ class ExtensionField:
 
 
 def int64_modulus(field, length):
-    """p when ``field`` is GF(p) or GF(p^k) and a sum of ``length`` products
-    of field elements stays below 2^63 on int64 GF(p) coordinates, so numpy
-    arithmetic reduced mod p after each such sum is exact; None otherwise
-    (QQ, or p too large), where the pure-Python code must run.  A product
-    in GF(p^k) is a sum of k products of coordinates, so there the bound
-    is on length * k products."""
-    if isinstance(field, PrimeField):
-        products = length
-    elif isinstance(field, ExtensionField):
-        products = length * field.degree
-    else:
-        return None
-    return field.p if products * field.p ** 2 < 2 ** 63 else None
+    """p when ``field`` is GF(p) and a sum of ``length`` products of field
+    elements stays below 2^63, so numpy arithmetic reduced mod p after each
+    such sum is exact; None otherwise (QQ, GF(p^k), or p too large), where
+    the pure-Python code must run."""
+    if isinstance(field, PrimeField) and length * field.p ** 2 < 2 ** 63:
+        return field.p
+    return None
 
 
 def field_to_json(field):

@@ -1,6 +1,9 @@
 """Buchberger Groebner bases in grevlex order over a field, plus the
 zero-dimensional toolkit: standard monomials, multiplication matrices,
-eliminants and point extraction through eigenvectors.
+eliminants, and points through a rational univariate representation:
+every coordinate is a polynomial in one separating linear form, so the
+points of a Galois orbit are remainders modulo one irreducible factor of
+its eliminant, with no linear algebra over an extension field.
 
 Inside this module a monomial is one Python int (``_Packing``): the top
 field holds the total degree, the fields below it the complemented
@@ -20,9 +23,9 @@ from heapq import heapify, heappop, heappush
 
 import numpy as np
 
-from .fields import PrimeField, int64_modulus
+from .fields import int64_modulus
 from .multipoly import MultiPoly
-from .unipoly import is_squarefree, factor_squarefree, irreducible_root
+from .unipoly import UniPoly, is_squarefree, factor_squarefree, irreducible_root
 from . import linalg
 
 INFINITE = "infinite"
@@ -330,7 +333,7 @@ class QuotientAlgebra:
         """Matrix of multiplication by the linear form sum lam[v] x_v."""
         F = self.field
         p = int64_modulus(F, len(lam))
-        if p is not None and isinstance(F, PrimeField) and lam:
+        if p is not None and lam:
             return (sum(c * np.array(m, dtype=np.int64)
                         for c, m in zip(lam, self.mats)) % p).tolist()
         n = len(self.monomials)
@@ -352,19 +355,21 @@ def eliminant_of_linear_form(algebra, lam):
     return linalg.charpoly(algebra.field, algebra.linear_form_matrix(lam))
 
 
-def solve_zero_dimensional(algebra, rng, max_ext_degree=6):
-    """Points of a zero-dimensional radical system over a finite field.
+def solve_zero_dimensional(algebra, rng):
+    """Points of a zero-dimensional radical system over GF(p), through a
+    rational univariate representation.
 
-    Returns (points, eliminant) where each point is (coords, field, degree):
-    coords lie in GF(p) when degree == 1 and otherwise in an explicit
+    Returns (points, eliminant) with one point (coords, field, degree) per
+    Galois orbit, so the degrees sum to the number of solutions: coords
+    lie in GF(p) when degree == 1 and otherwise in an explicit
     GF(p^degree) built from an irreducible factor of the eliminant.
-    Extension points are reported once per Galois orbit, and only for
-    orbits of degree at most ``max_ext_degree``: the degrees of the
-    returned points sum to the number of solutions only when no orbit is
-    larger.
 
-    Requires the eliminant of a random linear form to be squarefree, which
-    certifies that all solutions are simple and separated.
+    Requires the eliminant chi of a random linear form lambda to be
+    squarefree, which certifies that all solutions are simple and
+    separated.  Then 1, lambda, ..., lambda^(D-1) are a basis of the
+    quotient algebra (the shape lemma), one GF(p) solve writes every
+    coordinate as x_v = g_v(lambda), and at the roots of an irreducible
+    factor f of chi the coordinates are g_v mod f in GF(p)[t]/(f).
     """
     F = algebra.field
     n = len(algebra.mats)
@@ -373,34 +378,27 @@ def solve_zero_dimensional(algebra, rng, max_ext_degree=6):
     chi = linalg.charpoly(F, total)
     if not is_squarefree(chi):
         raise ValueError("eliminant is not squarefree; points are not simple")
-    one_index = algebra.monomials.index((0,) * n)
-    # coordinate x_v at a point is the eigenvector paired with the normal
-    # form of x_v, which is the column of the constant monomial
-    normal_forms = [[row[one_index] for row in mat] for mat in algebra.mats]
+    D = len(total)
+    one = algebra.monomials.index((0,) * n)
+    # Krylov vectors lambda^j * 1, on Python ints where a sum of D
+    # products would overflow int64
+    mat = np.array(total, dtype=np.int64 if int64_modulus(F, D) else object)
+    columns = [np.zeros(D, dtype=mat.dtype)]
+    columns[0][one] = 1
+    for _ in range(D - 1):
+        columns.append(mat @ columns[-1] % F.p)
+    # right-hand sides: the normal form of x_v is the column of 1 in M_v
+    columns += [[row[one] for row in m] for m in algebra.mats]
+    rows, pivots = linalg.rref(F, np.column_stack(columns).tolist())
+    if pivots != list(range(D)):
+        raise ValueError("powers of the linear form do not span the quotient")
+    shape = [UniPoly(F, [row[D + v] for row in rows]) for v in range(n)]
     points = []
     for factor in factor_squarefree(chi, rng):
         k = factor.degree
-        if k > max_ext_degree:
-            continue
-        eigval, L = irreducible_root(factor)
-        embed = L.from_base if k > 1 else (lambda c: c)
-        tL = [[embed(c) for c in row] for row in total]
-        for i in range(len(tL)):
-            tL[i][i] = L.sub(tL[i][i], eigval)
-        # left eigenvector: kernel of the transpose
-        kern = linalg.nullspace(L, linalg.transpose(tL))
-        if len(kern) != 1:
-            raise ValueError("eigenspace is not one dimensional")
-        v = kern[0]
-        if v[one_index] == L.zero:
-            raise ValueError("eigenvector does not evaluate the constant 1")
-        scale = L.inv(v[one_index])
-        v = [L.mul(x, scale) for x in v]
-        coords = []
-        for col in normal_forms:
-            acc = L.zero
-            for x, y in zip(v, col):
-                acc = L.add(acc, L.mul(x, embed(y)))
-            coords.append(acc)
-        points.append((tuple(coords), L, k))
+        # L is GF(p)[t]/(factor), t standing for lambda
+        _, L = irreducible_root(factor)
+        residues = [list((g % factor).coeffs) + [F.zero] * k for g in shape]
+        coords = tuple(r[0] if k == 1 else tuple(r[:k]) for r in residues)
+        points.append((coords, L, k))
     return points, chi

@@ -14,10 +14,10 @@ needed number of products below p stays under 2^63):
 - ``charpoly`` by Hessenberg reduction when (n + 1) * p^2 < 2^63: at
   n = 144, every prime below 2.5e8.
 
-Over GF(p^k), ``rank`` runs on the same kernel through the regular
-representation: each entry a becomes the k x k GF(p) matrix of
-multiplication by a, and the GF(p)-rank of the result is k times the
-rank, since the image is a GF(p^k)-subspace.  ``rref`` and ``nullspace``
+Over GF(p^k), when 2k * p^2 < 2^63, ``rank`` runs on the same kernel
+through the regular representation: each entry a becomes the k x k GF(p)
+matrix of multiplication by a, and the GF(p)-rank of the result is k
+times the rank, since the image is a GF(p^k)-subspace.  ``rref`` and ``nullspace``
 over GF(p^k) need their results in GF(p^k) coordinates and stay in
 field operations, as do QQ, larger primes and ``charpoly`` over GF(p^k).
 The pure-Python code is the oracle in the tests.
@@ -43,7 +43,7 @@ def rref(field, mat):
     int64 arrays over GF(p) when ``int64_modulus`` allows, else in field
     ops."""
     p = int64_modulus(field, 2)
-    if p is not None and isinstance(field, PrimeField):
+    if p is not None:
         return _rref_int64(mat, p)
     return _rref_python(field, mat)
 
@@ -79,11 +79,13 @@ def _rref_python(field, mat):
 def rank(field, mat):
     if not mat or not mat[0]:
         return 0
-    p = int64_modulus(field, 2)
-    if p is not None and isinstance(field, ExtensionField):
-        # the image is a GF(p^k)-subspace: its GF(p)-dimension is k * rank
-        regular = _regular_representation(field, mat)
-        return len(_rref_int64(regular, p)[1]) // field.degree
+    if isinstance(field, ExtensionField):
+        # the image is a GF(p^k)-subspace: its GF(p)-dimension is k * rank;
+        # a coordinate of the regular representation sums k products
+        p = int64_modulus(PrimeField(field.p), 2 * field.degree)
+        if p is not None:
+            regular = _regular_representation(field, mat)
+            return len(_rref_int64(regular, p)[1]) // field.degree
     return len(rref(field, mat)[1])
 
 
@@ -163,7 +165,7 @@ def charpoly(field, mat):
     """Monic characteristic polynomial via Hessenberg reduction, O(n^3):
     on int64 arrays when ``int64_modulus`` allows, else in field ops."""
     p = int64_modulus(field, len(mat) + 1)
-    if p is not None and isinstance(field, PrimeField):
+    if p is not None:
         return UniPoly(field, _charpoly_int64(mat, p))
     return _charpoly_python(field, mat)
 

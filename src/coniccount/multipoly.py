@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import PrimeField, field_pow, int64_modulus
+from .fields import field_pow, int64_modulus
 
 
 def grevlex_key(mon):
@@ -235,8 +235,7 @@ class MultiPoly:
         with ``affine`` the last y is 1, so the last column is constant."""
         d = self.degree()
         p = int64_modulus(ring.field, self.ring.nvars)
-        if (p is None or not isinstance(ring.field, PrimeField) or d < 1
-                or not mat[0] or not self.is_homogeneous()):
+        if p is None or d < 1 or not mat[0] or not self.is_homogeneous():
             return self.substitute(ring, linear_images(ring, mat, affine))
         terms = _linear_change_int64(self.terms, d, mat, p)
         if affine:

@@ -38,15 +38,13 @@ class SplittingError(RuntimeError):
     failure."""
 
 
-def compose_in_forms(poly, forms):
-    """Substitute binary forms for the variables of a homogeneous
-    polynomial; coefficients must already live in the forms' field."""
+def compose_in_forms(polys, forms):
+    """Substitute binary forms for the variables of homogeneous
+    polynomials, one result per polynomial; coefficients must already live
+    in the forms' field.  The powers of the forms are built once for the
+    whole list."""
     F = forms[0].field
-    deg = poly.degree()
-    if deg < 0:
-        raise ValueError("zero polynomial has no well-defined output degree")
     e = forms[0].degree
-    out = BinaryForm.zero(F, deg * e)
     power_cache = [dict() for _ in forms]
 
     def powf(i, n):
@@ -57,14 +55,21 @@ def compose_in_forms(poly, forms):
             d[n] = powf(i, n - 1) * forms[i]
         return d[n]
 
-    for mon, c in poly.terms.items():
-        term = BinaryForm(F, 0, [c])
-        for i, expo in enumerate(mon):
-            if expo:
-                term = term * powf(i, expo)
-        if term.degree != out.degree:
-            raise ValueError("forms must share one degree")
-        out = out + term
+    out = []
+    for poly in polys:
+        deg = poly.degree()
+        if deg < 0:
+            raise ValueError("zero polynomial has no well-defined output degree")
+        total = BinaryForm.zero(F, deg * e)
+        for mon, c in poly.terms.items():
+            term = BinaryForm(F, 0, [c])
+            for i, expo in enumerate(mon):
+                if expo:
+                    term = term * powf(i, expo)
+            if term.degree != total.degree:
+                raise ValueError("forms must share one degree")
+            total = total + term
+        out.append(total)
     return out
 
 
@@ -81,10 +86,9 @@ class RationalCurveMap:
             raise ValueError("coordinate forms share a projective root")
         if ci is not None:
             embed = _embedder(ci.ring.field, self.field)
-            for s in ci.sections:
-                sL = s.map_coefficients(embed, self.field)
-                if compose_in_forms(sL, self.coords):
-                    raise ValueError("curve does not lie on the instance")
+            if any(compose_in_forms([s.map_coefficients(embed, self.field)
+                                     for s in ci.sections], self.coords)):
+                raise ValueError("curve does not lie on the instance")
         return self
 
 
@@ -157,22 +161,15 @@ def euler_jacobian_complex(ci, curve):
     L = curve.field
     e = curve.degree
     embed = _embedder(ci.ring.field, L)
-    alpha = list(curve.coords)
-    beta = []
-    next_degrees = []
-    for s, d in zip(ci.sections, md.degrees):
-        sL = s.map_coefficients(embed, L)
-        row = []
-        for j in range(md.ambient + 1):
-            partial = sL.derivative(j)
-            if partial:
-                row.append(compose_in_forms(partial, curve.coords))
-            else:
-                row.append(BinaryForm.zero(L, e * (d - 1)))
-        beta.append(row)
-        next_degrees.append(e * d)
-    return ThreeTermComplex(L, [0], [e] * (md.ambient + 1), next_degrees,
-                            alpha, beta)
+    partials = [[sL.derivative(j) for j in range(md.ambient + 1)]
+                for sL in (s.map_coefficients(embed, L) for s in ci.sections)]
+    # one composition for every nonzero partial, sharing the powers
+    composed = iter(compose_in_forms([q for row in partials for q in row if q],
+                                     curve.coords))
+    beta = [[next(composed) if q else BinaryForm.zero(L, e * (d - 1)) for q in row]
+            for row, d in zip(partials, md.degrees)]
+    return ThreeTermComplex(L, [0], [e] * (md.ambient + 1),
+                            [e * d for d in md.degrees], list(curve.coords), beta)
 
 
 # ---------------------------------------------------------------------------
@@ -466,25 +463,26 @@ def find_line_through_point(ci, tries=40, rng_tag="lines"):
     md = ci.md
     fixed = (md.n - 3) // 2 == 0
     last = None
-    irrational = []     # the solvers of the tries without a rational point
+    irrational = []     # the orbit degrees of the tries without a rational point
     for attempt in range(tries):
         rng = random.Random(f"{rng_tag}:{ci.seed}:{attempt}")
         try:
             system = line_family_system(ci, rng)
             solver = DerivedSolver(system, rng)
-            pts = solver.points(max_ext_degree=1)
+            pts = solver.points()
         except (DegenerateInstance, ValueError) as exc:
             last = exc
             continue
-        if not pts:
-            irrational.append(solver)
+        rational = [(point, L) for point, L, k in pts if k == 1]
+        if not rational:
+            irrational.append(sorted(k for *_, k in pts))
             if fixed and _certifies_every_line(solver):
                 raise DegenerateInstance(
                     f"no GF({ci.field.p})-rational line through the point: the "
                     f"lines through it do not depend on the try, and try "
                     f"{attempt + 1} certified all {solver.bezout} of them, in "
-                    f"orbits of degrees {_orbit_degrees(solver)}")
-        for point, L, k in pts:
+                    f"orbits of degrees {irrational[-1]}")
+        for point, L in rational:
             coords = [BinaryForm(L, 1, [L.zero, L.one])]
             for bj in point:
                 coords.append(BinaryForm(L, 1, [bj, L.zero]))
@@ -495,16 +493,10 @@ def find_line_through_point(ci, tries=40, rng_tag="lines"):
     reasons = []
     if irrational:
         # the lines through the point do not depend on the try, so the
-        # orbits of one try stand for all; found only now, as they cost
-        # arithmetic in extension fields
+        # orbits of one try stand for all
         reasons.append(f"{len(irrational)} had no GF({ci.field.p})-rational point, "
-                       f"and the orbit degrees of the last were "
-                       f"{_orbit_degrees(irrational[-1])}")
+                       f"and the orbit degrees of the last were {irrational[-1]}")
     if last is not None:
         reasons.append(f"the last error was: {last}")
     raise DegenerateInstance(f"no rational line found in {tries} tries: "
                              + "; ".join(reasons))
-
-
-def _orbit_degrees(solver):
-    return sorted(k for *_, k in solver.points(max_ext_degree=solver.bezout))

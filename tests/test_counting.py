@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+import time
 
 import pytest
 
@@ -8,6 +11,7 @@ from coniccount.counting import (expected_count, count_conics,
                                  expected_dimension_hypersurface, obstruction_rank,
                                  boundary_family_dimension, run_trial,
                                  solve_and_verify, verify_conic)
+from coniccount.fields import field_to_json
 
 
 def test_expected_count_values():
@@ -131,6 +135,43 @@ def test_verify_conics_and_orbit_degrees():
         ci, results, record = solve_and_verify(degrees, prime=10007, seed=0)
         assert all(ok for _, ok, _ in results)
         assert sum(k for _, ok, k in results) == total
+
+
+# sha256 of the JSON list of [orbit_degree, field_to_json, a_point,
+# verified] that solve_and_verify(..., max_ext_degree=12) returned when
+# points came from eigenvectors over GF(p^k)
+PINNED_ORBITS = [
+    (((2, 3), 10007, 0), "9f99076e98c791ef41bf5108844599c0817c2b11e2a37b8eb08662bab5211b84"),
+    (((2, 3), 10007, 1), "8020e8ef9511662e9b0fa45815b4a59b33cb3446e11f26ec424be587abb542eb"),
+    (((2, 3), 31013, 0), "776dc482b3c72bb0b1714df5f171c6727c9dc96a8303f263a9fb997726351569"),
+    (((2, 3), 31013, 1), "11ce81dac3732b6c035b3afb4224fc3e14f42544f004b173c07a6c73045de7ed"),
+    (((2, 2, 3), 10007, 0), "2e9215a75c34663fa32f7ce1a708dfd13a670246ac45bccb06cff7fe7c510ac0"),
+    (((2, 2, 3), 10007, 1), "c31758d366b29f49cfc6296bf2d76b731ca46d9acc657083842b2d7213a747bc"),
+    (((2, 2, 3), 31013, 0), "d15ab6f873f7c2aa6b7e75c6e3374c85126f793f6283667a091e87e8b61e3a2e"),
+    (((2, 2, 3), 31013, 1), "b8650cffe7db358c6ba671ce9a9037982db96ec064bfe3d4cbf733c065f04c2c"),
+    (((4,), 10007, 0), "e4cc4e414819bf782a6ea3b1c601ddb2a28e09d97a99d21c5e1b8c840887d516"),
+]
+
+
+@pytest.mark.parametrize("instance, digest", PINNED_ORBITS)
+def test_orbit_points_match_pinned_digests(instance, digest):
+    degrees, prime, seed = instance
+    _, results, _ = solve_and_verify(degrees, prime=prime, seed=seed,
+                                     max_ext_degree=12)
+    rows = [[k, field_to_json(c.field),
+             [c.field.element_to_json(x) for x in c.a_point], ok]
+            for c, ok, k in results]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
+
+
+def test_every_orbit_of_the_quartic_verifies():
+    started = time.perf_counter()
+    _, results, record = solve_and_verify((4,), prime=10007, seed=0,
+                                          max_ext_degree=72)
+    assert sorted(k for _, _, k in results) == [3, 9, 14, 14, 32]
+    assert sum(k for _, _, k in results) == record.count == 72
+    assert all(ok for _, ok, _ in results)
+    assert time.perf_counter() - started < 20
 
 
 def test_perturbed_conic_fails_verification():

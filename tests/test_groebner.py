@@ -196,6 +196,23 @@ def test_solve_zero_dimensional_back_substitutes():
     assert found == {(2, 1), (F.p - 1, F.p - 2)}
 
 
+@pytest.mark.parametrize("p", [10007, 2 ** 61 - 1])
+def test_solve_zero_dimensional_builds_an_extension_orbit(p):
+    # p = 3 mod 4, so x^2 + 1 is irreducible: one orbit of degree 2; at
+    # 2^61 - 1 the solve runs on Python ints instead of int64
+    F = PrimeField(p)
+    R = PolyRing(F, 2, ("x", "y"))
+    x, y = R.gen(0), R.gen(1)
+    gens = [x * x + R.one(), y - x]
+    pts, chi = solve_zero_dimensional(QuotientAlgebra(groebner_basis(gens)),
+                                      random.Random(0))
+    assert chi.degree == 2
+    ((coords, L, k),) = pts
+    assert k == 2 and L.degree == 2
+    for g in gens:
+        assert g.map_coefficients(L.from_base, L).evaluate(list(coords)) == L.zero
+
+
 # -- independent oracle: sympy's reduced grevlex basis -----------------------
 
 

@@ -98,9 +98,11 @@ def test_compose_in_forms():
     x, y = R.gen(0), R.gen(1)
     u = BinaryForm(F, 1, [1, 0])
     v = BinaryForm(F, 1, [0, 1])
-    comp = compose_in_forms(x * x - y * y, [u + v, u - v])
-    # (u+v)^2 - (u-v)^2 = 4uv
-    assert comp == (u * v).scale(4)
+    square, cross = compose_in_forms([x * x - y * y, x * y], [u + v, u - v])
+    # (u+v)^2 - (u-v)^2 = 4uv, and (u+v)(u-v) = u^2 - v^2
+    assert square == (u * v).scale(4)
+    assert cross == u * u - v * v
+    assert compose_in_forms([], [u, v]) == []
 
 
 def test_conic_splitting_on_cubic_threefold():
