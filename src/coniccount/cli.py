@@ -54,11 +54,11 @@ def _parse_ints(text):
 
 
 def _parse_range(text):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    value = int(text)
-    return value, value
+    lo, hi = text.split("..", 1) if ".." in text else (text, text)
+    lo, hi = int(lo), int(hi)
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    return lo, hi
 
 
 def _emit(args, name, payload):
@@ -127,7 +127,7 @@ def cmd_formulas(args):
 
 
 def cmd_vanish(args):
-    n = args.n[0]
+    n = args.n
     degrees = args.degrees
     grid = VanishingGrid(n, degrees)
     verdicts, all_vanish = grid.all_verdicts()
@@ -237,7 +237,7 @@ def build_parser():
         p.add_argument("--primes", type=_parse_ints, default=DEFAULT_PRIMES,
                        help="comma separated primes, each >= 10007")
         p.add_argument("--seeds", type=_parse_ints, default=DEFAULT_SEEDS)
-        p.add_argument("--method", choices=("auto", "resultant", "groebner"),
+        p.add_argument("--method", choices=("auto", "groebner"),
                        default="auto")
         p.add_argument("--out", default=None, help="path for the JSON report")
 
@@ -253,7 +253,7 @@ def build_parser():
     p_formulas.set_defaults(func=cmd_formulas)
 
     p_vanish = sub.add_parser("vanish", help="Bott case exclusion grid")
-    p_vanish.add_argument("--n", type=_parse_range, required=True)
+    p_vanish.add_argument("--n", type=int, required=True)
     p_vanish.add_argument("--degrees", type=_parse_degrees, required=True)
     p_vanish.add_argument("--out", default=None)
     p_vanish.set_defaults(func=cmd_vanish)

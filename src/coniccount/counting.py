@@ -28,8 +28,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .fields import PrimeField
 from .multipoly import PolyRing, linear_images
-from .unipoly import (BinaryForm, squarefree_root_count, is_squarefree,
-                      roots_in_field)
+from .unipoly import BinaryForm, squarefree_root_count, roots_in_field
 from .groebner import (groebner_basis, quotient_count, eliminant_of_linear_form,
                        solve_zero_dimensional, QuotientAlgebra, INFINITE,
                        PositiveDimensional)
@@ -43,6 +42,7 @@ from . import linalg
 DEFAULT_PRIMES = (10007, 31013, 65537)
 DEFAULT_SEEDS = (0, 1, 2)
 MIN_PRIME = 10007
+RETRY_LIMIT = 8     # instances per seed, and seeds per trial, before giving up
 
 FIELD_NOTE = ("counted over large prime fields; unanimity across primes and "
               "seeds stands in for genericity over the complex numbers")
@@ -152,6 +152,8 @@ class DerivedSolver:
     """Counts and optionally solves one derived system instance."""
 
     def __init__(self, ds, rng, method="auto"):
+        if method not in ("auto", "groebner"):
+            raise ValueError(f"unknown method {method!r}: auto or groebner")
         self.rng = rng
         self.reduction = _LinearReduction(ds)
         self.bezout = bezout_number(ds)
@@ -172,8 +174,6 @@ class DerivedSolver:
             route = "resultant"
         else:
             route = "groebner"
-        if method == "resultant" and route == "groebner":
-            raise ValueError("resultant backend needs two equations in P^2")
         if method == "groebner" and route in ("binary", "resultant"):
             route = "groebner"
         self.route = route
@@ -214,8 +214,9 @@ class DerivedSolver:
             tries = 0
         for _ in range(tries):
             elim = self._eliminant()
-            if is_squarefree(elim):
-                return squarefree_root_count(elim), {
+            distinct = squarefree_root_count(elim)
+            if distinct == elim.degree:
+                return distinct, {
                     "quotient_dim_equals_bezout": True,
                     "eliminant_squarefree": True,
                 }
@@ -296,9 +297,10 @@ class DerivedSolver:
     def _count_groebner(self):
         qc = self._quotient_algebra()
         elim = self._eliminant()
-        return squarefree_root_count(elim), {
+        distinct = squarefree_root_count(elim)
+        return distinct, {
             "quotient_dim_equals_bezout": qc == self.bezout,
-            "eliminant_squarefree": is_squarefree(elim),
+            "eliminant_squarefree": distinct == elim.degree,
         }
 
     # -- point extraction --------------------------------------------------
@@ -433,11 +435,11 @@ class CountReport:
         }
 
 
-def prepare_instance(md, field, seed, variant, retry_limit=8):
+def prepare_instance(md, field, seed, variant):
     """Sample instances until the cascade goes through; returns
     (ci, ansatz list, residual list, derived system, attempts)."""
     last = None
-    for attempt in range(retry_limit):
+    for attempt in range(RETRY_LIMIT):
         ci = random_ci(md, field, f"{seed}.{attempt}" if attempt else seed, variant)
         pr = restrict_to_plane_family(ci)
         try:
@@ -446,7 +448,7 @@ def prepare_instance(md, field, seed, variant, retry_limit=8):
         except DegenerateInstance as exc:
             last = exc
     raise DegenerateInstance(
-        f"retry limit {retry_limit} exhausted for {md} over {field!r}: {last}")
+        f"retry limit {RETRY_LIMIT} exhausted for {md} over {field!r}: {last}")
 
 
 def checked_prime_field(prime):
@@ -456,15 +458,14 @@ def checked_prime_field(prime):
     return PrimeField(prime)
 
 
-def run_trial(md, variant, prime, seed, method="auto", retry_limit=8):
+def run_trial(md, variant, prime, seed, method="auto"):
     """One (prime, seed) counting trial; resamples on degeneracy."""
     field = checked_prime_field(prime)
     last = None
-    for attempt in range(retry_limit):
+    for attempt in range(RETRY_LIMIT):
         try:
             ci, ansatze, residuals, ds, used = prepare_instance(
-                md, field, seed if attempt == 0 else f"{seed}r{attempt}",
-                variant, retry_limit)
+                md, field, seed if attempt == 0 else f"{seed}r{attempt}", variant)
             rng = random.Random(f"trial:{prime}:{seed}:{attempt}:{variant}")
             solver = DerivedSolver(ds, rng, method)
             count, certs = solver.count_and_certify()
@@ -474,11 +475,11 @@ def run_trial(md, variant, prime, seed, method="auto", retry_limit=8):
         except DegenerateInstance as exc:
             last = exc
     raise DegenerateInstance(
-        f"retry limit {retry_limit} exhausted for {md} over GF({prime}): {last}")
+        f"retry limit {RETRY_LIMIT} exhausted for {md} over GF({prime}): {last}")
 
 
 def count_conics(degrees, variant="secant", primes=DEFAULT_PRIMES,
-                 seeds=DEFAULT_SEEDS, method="auto", retry_limit=8):
+                 seeds=DEFAULT_SEEDS, method="auto"):
     """Full pipeline over every (prime, seed) pair; unanimity required.
 
     Returns a CountReport; raises InconsistentCounts (with the report
@@ -489,8 +490,7 @@ def count_conics(degrees, variant="secant", primes=DEFAULT_PRIMES,
     trials = []
     for prime in primes:
         for seed in seeds:
-            _, _, _, _, record = run_trial(md, variant, prime, seed,
-                                           method, retry_limit)
+            _, _, _, _, record = run_trial(md, variant, prime, seed, method)
             trials.append(record)
     counts = {t.count for t in trials}
     certsets = {tuple(sorted(t.certificates.items())) for t in trials}
@@ -528,7 +528,7 @@ def verify_conic(ci, conic):
 
 
 def solve_and_verify(degrees, variant="secant", prime=DEFAULT_PRIMES[0],
-                     seed=0, method="auto", retry_limit=8, max_ext_degree=6):
+                     seed=0, method="auto", max_ext_degree=6):
     """Reconstruct the conics of one instance and run verify_conic on each.
 
     Returns (ci, results, trial_record) where results holds one
@@ -539,8 +539,7 @@ def solve_and_verify(degrees, variant="secant", prime=DEFAULT_PRIMES[0],
     than the count: (2, 3) over GF(31013) with seed 1 returns 2 of its
     12 conics."""
     md = dimension_from_degrees(degrees)
-    ci, ansatze, ds, solver, record = run_trial(md, variant, prime, seed,
-                                                method, retry_limit)
+    ci, ansatze, ds, solver, record = run_trial(md, variant, prime, seed, method)
     results = []
     for point, L, k in solver.points():
         if k <= max_ext_degree:

@@ -16,6 +16,12 @@ projection.  The dimensions fall out of exact linear algebra on these
 finite graded pieces plus one explicit zig-zag for the connecting
 differential.  The h^0 profile over a window of twists then determines
 the splitting multiset uniquely.
+
+A curve is checked only by ``ThreeTermComplex.validate`` on the complex
+``splitting_type`` builds: no common root of the coordinate forms or of
+the Jacobian minors, and a zero composite.  By Euler, row i of the
+composite is d_i times section i along the curve, so the characteristic
+must divide no d_i; ``euler_jacobian_complex`` refuses it otherwise.
 """
 
 import itertools
@@ -75,21 +81,11 @@ def compose_in_forms(polys, forms):
 
 @dataclass
 class RationalCurveMap:
-    """A degree-e map P^1 -> P^N landing in the instance."""
+    """A degree-e map P^1 -> P^N, by its coordinate forms over ``field``."""
 
     field: object
     degree: int
     coords: list
-
-    def validate(self, ci=None):
-        if binary_forms_common_root(self.coords):
-            raise ValueError("coordinate forms share a projective root")
-        if ci is not None:
-            embed = _embedder(ci.ring.field, self.field)
-            if any(compose_in_forms([s.map_coefficients(embed, self.field)
-                                     for s in ci.sections], self.coords)):
-                raise ValueError("curve does not lie on the instance")
-        return self
 
 
 @dataclass
@@ -158,6 +154,9 @@ def euler_jacobian_complex(ci, curve):
     """The tangent-bundle presentation along the curve: coordinate forms
     into the Jacobian of the defining sections."""
     md = ci.md
+    p = ci.ring.field.characteristic
+    if p and any(d % p == 0 for d in md.degrees):
+        raise ValueError(f"characteristic {p} divides a degree of {md.degrees}")
     L = curve.field
     e = curve.degree
     embed = _embedder(ci.ring.field, L)
@@ -324,8 +323,10 @@ def _d2_image(cx, F, prev, mid, nxt, h1_prev, h0_next, vec):
 # ---------------------------------------------------------------------------
 # splitting types
 
+MAX_WINDOW = 80     # the farthest twist at which the h^0 profile is read
 
-def splitting_type_of_complex(cx, max_window=80):
+
+def splitting_type_of_complex(cx):
     """Splitting multiset of the middle cohomology bundle, from the h^0
     profile over a twist window that extends itself until the profile is
     pinned on both sides."""
@@ -347,12 +348,12 @@ def splitting_type_of_complex(cx, max_window=80):
     lo = 0
     while get(lo) > 0:
         lo -= 1
-        if lo < -max_window:
+        if lo < -MAX_WINDOW:
             raise SplittingError("no vanishing twist found")
     hi = 1
     while get(hi) - get(hi - 1) != rank:
         hi += 1
-        if hi > max_window:
+        if hi > MAX_WINDOW:
             raise SplittingError("profile never reaches full rank")
     splitting = []
     for m in range(lo + 1, hi + 1):
@@ -372,8 +373,8 @@ def splitting_type_of_complex(cx, max_window=80):
 
 
 def splitting_type(ci, curve):
-    """Splitting type of the restricted tangent bundle along the curve."""
-    curve.validate(ci)
+    """Splitting type of the restricted tangent bundle along the curve,
+    which the complex's ``validate`` checks."""
     cx = euler_jacobian_complex(ci, curve)
     return splitting_type_of_complex(cx)
 
@@ -410,7 +411,7 @@ def conic_to_map(conic, md):
     for aj in conic.a_point:
         coords.append(z.scale(aj))
     coords.append(y)
-    return RationalCurveMap(L, 2, coords).validate()
+    return RationalCurveMap(L, 2, coords)
 
 
 def line_family_system(ci, slice_rng):
@@ -452,7 +453,7 @@ def _certifies_every_line(solver):
     return count == solver.bezout and all(certs.values())
 
 
-def find_line_through_point(ci, tries=40, rng_tag="lines"):
+def find_line_through_point(ci, tries=40):
     """A line through the first marked point, found by solving the line
     conditions over GF(p) and keeping a rational solution; the slicing
     and the eliminant randomness are reseeded until one shows up.
@@ -465,7 +466,7 @@ def find_line_through_point(ci, tries=40, rng_tag="lines"):
     last = None
     irrational = []     # the orbit degrees of the tries without a rational point
     for attempt in range(tries):
-        rng = random.Random(f"{rng_tag}:{ci.seed}:{attempt}")
+        rng = random.Random(f"lines:{ci.seed}:{attempt}")
         try:
             system = line_family_system(ci, rng)
             solver = DerivedSolver(system, rng)
@@ -473,23 +474,19 @@ def find_line_through_point(ci, tries=40, rng_tag="lines"):
         except (DegenerateInstance, ValueError) as exc:
             last = exc
             continue
-        rational = [(point, L) for point, L, k in pts if k == 1]
-        if not rational:
-            irrational.append(sorted(k for *_, k in pts))
-            if fixed and _certifies_every_line(solver):
-                raise DegenerateInstance(
-                    f"no GF({ci.field.p})-rational line through the point: the "
-                    f"lines through it do not depend on the try, and try "
-                    f"{attempt + 1} certified all {solver.bezout} of them, in "
-                    f"orbits of degrees {irrational[-1]}")
-        for point, L in rational:
-            coords = [BinaryForm(L, 1, [L.zero, L.one])]
-            for bj in point:
-                coords.append(BinaryForm(L, 1, [bj, L.zero]))
-            try:
-                return RationalCurveMap(L, 1, coords).validate(ci)
-            except ValueError as exc:
-                last = exc
+        for point, L, k in pts:
+            if k == 1:
+                # a line on the instance by construction, and b != 0, so
+                # its coordinate forms v, b_1 u, ..., b_n u share no root
+                return RationalCurveMap(L, 1, [BinaryForm(L, 1, [L.zero, L.one])]
+                                        + [BinaryForm(L, 1, [bj, L.zero]) for bj in point])
+        irrational.append(sorted(k for *_, k in pts))
+        if fixed and _certifies_every_line(solver):
+            raise DegenerateInstance(
+                f"no GF({ci.field.p})-rational line through the point: the "
+                f"lines through it do not depend on the try, and try "
+                f"{attempt + 1} certified all {solver.bezout} of them, in "
+                f"orbits of degrees {irrational[-1]}")
     reasons = []
     if irrational:
         # the lines through the point do not depend on the try, so the

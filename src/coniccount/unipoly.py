@@ -169,7 +169,8 @@ def squarefree_part(f):
 
 
 def squarefree_root_count(f):
-    """Number of distinct roots of f in an algebraic closure."""
+    """Number of distinct roots of f in an algebraic closure; it is
+    ``f.degree`` exactly when ``is_squarefree(f)``."""
     return squarefree_part(f).degree
 
 
@@ -349,8 +350,8 @@ class BinaryForm:
         """(number of distinct projective roots, squarefree flag) of a
         nonzero form; the flag covers the root at infinity too."""
         inf = self.infinity_multiplicity
-        return (squarefree_root_count(self.poly) + (1 if inf else 0),
-                is_squarefree(self.poly) and inf <= 1)
+        finite = squarefree_root_count(self.poly)
+        return finite + (1 if inf else 0), finite == self.poly.degree and inf <= 1
 
     def factors(self, rng):
         """Irreducible factors of a squarefree form over a finite field:

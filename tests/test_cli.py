@@ -55,6 +55,22 @@ def test_vanish_rejects_bad_n():
     assert res.returncode == 2
 
 
+def test_ranges_that_would_run_partially_are_refused():
+    # an empty range used to print an empty table, and vanish used to run
+    # the first n of a range alone; both exit 0
+    res = run_cli("formulas", "--n", "5..3")
+    assert res.returncode == 2 and "empty range" in res.stderr
+    res = run_cli("vanish", "--n", "5..9", "--degrees", "4")
+    assert res.returncode == 2 and "invalid int value" in res.stderr
+
+
+def test_resultant_is_not_a_method():
+    # the resultant route is picked by --method auto when it fits
+    res = run_cli("count", "--degrees", "2,2", "--method", "resultant",
+                  "--primes", "10007", "--seeds", "0")
+    assert res.returncode == 2 and "invalid choice" in res.stderr
+
+
 def test_vanish_refuses_int64_overflow():
     # at parent commits the wrapped Newton sums failed an exact division
     res = run_cli("vanish", "--n", "13", "--degrees", "8")

@@ -99,6 +99,14 @@ def test_method_forcing():
         run_trial(md22, "secant", 10007, 0, method="resultant")
 
 
+def test_unknown_method_refused():
+    md = dimension_from_degrees((3,))
+    # "resultant" is the route auto picks here, but not a method
+    for method in ("resultant", "foo"):
+        with pytest.raises(ValueError, match="unknown method"):
+            run_trial(md, "secant", 10007, 0, method=method)
+
+
 def test_resultant_roots_back_substitute():
     md = dimension_from_degrees((3,))
     _, _, ds, solver, record = run_trial(md, "secant", 10007, 0)
@@ -211,9 +219,8 @@ def test_inconsistent_counts_surfaced_as_data(monkeypatch):
     real = counting.run_trial
     calls = {"n": 0}
 
-    def flaky(md, variant, prime, seed, method="auto", retry_limit=8):
-        ci, ansatze, ds, solver, record = real(md, variant, prime, seed,
-                                               method, retry_limit)
+    def flaky(md, variant, prime, seed, method="auto"):
+        ci, ansatze, ds, solver, record = real(md, variant, prime, seed, method)
         calls["n"] += 1
         if calls["n"] == 2:
             record.count += 1

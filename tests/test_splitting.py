@@ -159,8 +159,63 @@ def test_curve_must_lie_on_instance():
     # a random line through the marked point is not on the cubic
     coords = [BinaryForm(F, 1, [0, 1])] + \
         [BinaryForm(F, 1, [c, 0]) for c in (1, 2, 3, 4)]
-    with pytest.raises(ValueError):
-        RationalCurveMap(F, 1, coords).validate(ci)
+    with pytest.raises(ValueError, match="composition of the maps is nonzero"):
+        splitting_type(ci, RationalCurveMap(F, 1, coords))
+
+
+def test_coordinate_forms_with_a_common_root_refused():
+    md = dimension_from_degrees((3,))
+    ci = random_ci(md, F, 0)
+    line = find_line_through_point(ci)
+    # u times a line on the cubic: still on the cubic, but every
+    # coordinate vanishes at [0:1]
+    u = BinaryForm(F, 1, [1, 0])
+    curve = RationalCurveMap(F, 2, [u * c for c in line.coords])
+    with pytest.raises(ValueError, match="first map vanishes at a point"):
+        splitting_type(ci, curve)
+
+
+def test_characteristic_dividing_a_degree_refused():
+    # by Euler the composite of a cubic's complex is 3 times the cubic
+    # along the curve, which reads zero over GF(3) for every curve
+    F3 = PrimeField(3)
+    md = dimension_from_degrees((3,))
+    ci = random_ci(md, F3, 0)
+    coords = [BinaryForm(F3, 1, [0, 1])] + \
+        [BinaryForm(F3, 1, [c, 0]) for c in (1, 2, 1, 2)]
+    with pytest.raises(ValueError, match="characteristic 3 divides"):
+        splitting_type(ci, RationalCurveMap(F3, 1, coords))
+
+
+def test_each_curve_is_checked_once(monkeypatch):
+    import coniccount.splitting as splitting
+
+    md = dimension_from_degrees((3,))
+    ci, results, record = solve_and_verify((3,), prime=10007, seed=0)
+    composed, tested = [], []
+    real_compose = splitting.compose_in_forms
+    real_common_root = splitting.binary_forms_common_root
+
+    def compose(polys, forms):
+        composed.append(forms)
+        return real_compose(polys, forms)
+
+    def common_root(forms):
+        if isinstance(forms, list):     # the minors arrive as a generator
+            tested.append(forms)
+        return real_common_root(forms)
+
+    monkeypatch.setattr(splitting, "compose_in_forms", compose)
+    monkeypatch.setattr(splitting, "binary_forms_common_root", common_root)
+    conic = conic_to_map(results[0][0], md)
+    line = find_line_through_point(ci)
+    # building the curves checks nothing
+    assert composed == tested == []
+    for curve, expected in ((conic, (2, 1, 1)), (line, (2, 0, 0))):
+        assert splitting_type(ci, curve) == expected
+        assert composed == tested == [curve.coords]
+        composed.clear()
+        tested.clear()
 
 
 def test_complex_invariants_enforced():

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coniccount.fields import QQ, PrimeField, ExtensionField
 from coniccount.multipoly import PolyRing
@@ -102,6 +103,22 @@ def test_squarefree_part_over_extension():
     f = (t - a) * (t - a)
     assert squarefree_part(f) == (t - a)
     assert not is_squarefree(f)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([5, 10007]), st.booleans(), st.data())
+def test_squarefree_flag_is_the_root_count_at_full_degree(p, in_fifth_powers, data):
+    # callers read is_squarefree(f) off squarefree_root_count(f) == deg f;
+    # f = g(x^5) over GF(5) has f' = 0
+    F = PrimeField(p)
+    coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=8)
+                       .filter(any))
+    if in_fifth_powers and p == 5:
+        spread = [0] * (5 * len(coeffs) - 4)
+        spread[::5] = coeffs
+        coeffs = spread
+    f = UniPoly(F, coeffs)
+    assert is_squarefree(f) == (squarefree_root_count(f) == f.degree)
 
 
 # binary forms: coeffs[j] multiplies u^(deg-j) v^j; infinity is [u:v] = [0:1]
