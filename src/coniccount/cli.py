@@ -201,8 +201,9 @@ def cmd_splitting(args):
         "variant": args.variant,
         "entries": entries,
     }
-    # Galois orbits above the degree cap are skipped; a report that leaves
-    # conics out says how many it covers
+    # solve_and_verify returns every Galois orbit, so the orbit degrees sum
+    # to the count; a report that left conics out would say how many it
+    # covers, and fail
     covered = sum(e["orbit_degree"] for e in entries)
     if args.curve == "conic" and covered < record.count:
         payload["covered"] = covered

@@ -528,21 +528,17 @@ def verify_conic(ci, conic):
 
 
 def solve_and_verify(degrees, variant="secant", prime=DEFAULT_PRIMES[0],
-                     seed=0, method="auto", max_ext_degree=6):
+                     seed=0, method="auto"):
     """Reconstruct the conics of one instance and run verify_conic on each.
 
     Returns (ci, results, trial_record) where results holds one
-    (conic, verified, orbit_degree) triple per Galois orbit of solutions
-    of degree at most ``max_ext_degree``.  The solver builds every orbit's
-    point, but verification and splitting cost grows with the degree, so
-    larger orbits are left out here and the orbit degrees can sum to less
-    than the count: (2, 3) over GF(31013) with seed 1 returns 2 of its
-    12 conics."""
+    (conic, verified, orbit_degree) triple per Galois orbit of solutions,
+    every orbit, so the orbit degrees sum to the count.  The conic of an
+    orbit of degree k lies over GF(p^k)."""
     md = dimension_from_degrees(degrees)
     ci, ansatze, ds, solver, record = run_trial(md, variant, prime, seed, method)
     results = []
     for point, L, k in solver.points():
-        if k <= max_ext_degree:
-            conic = reconstruct_conic(ansatze[0], point, L)
-            results.append((conic, verify_conic(ci, conic), k))
+        conic = reconstruct_conic(ansatze[0], point, L)
+        results.append((conic, verify_conic(ci, conic), k))
     return ci, results, record

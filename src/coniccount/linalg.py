@@ -118,19 +118,25 @@ def _rref_int64(mat, p):
     return a.tolist(), pivots
 
 
-def _power_table(field):
-    """(k, k, k) int64 array: [l, j, i] is the t^i coefficient of t^(l+j)
+def generator_powers(field, n):
+    """(n, k) int64 array over GF(p^k): row l holds the coordinates of t^l
     modulo the field's modulus."""
     p, k, m = field.p, field.degree, field.modulus
     powers = [[1] + [0] * (k - 1)]
-    for _ in range(2 * k - 2):
+    for _ in range(n - 1):
         prev = powers[-1]
         # t * prev, with t^k = -(m_0 + ... + m_{k-1} t^{k-1})
         top = prev[-1]
         powers.append([(lo - top * mj) % p
                        for lo, mj in zip([0] + prev[:-1], m)])
-    return np.array([[powers[l + j] for j in range(k)] for l in range(k)],
-                    dtype=np.int64)
+    return np.array(powers, dtype=np.int64)
+
+
+def _power_table(field):
+    """(k, k, k) int64 array: [l, j, i] is the t^i coefficient of t^(l+j)
+    modulo the field's modulus."""
+    k = field.degree
+    return generator_powers(field, 2 * k - 1)[np.add.outer(np.arange(k), np.arange(k))]
 
 
 def _regular_representation(field, mat):

@@ -14,21 +14,44 @@ monomial: H^0 of O(d) is spanned by u^a v^b with a, b >= 0, H^1 by the
 doubly negative monomials, and the maps act by multiplication followed by
 projection.  The dimensions fall out of exact linear algebra on these
 finite graded pieces plus one explicit zig-zag for the connecting
-differential.  The h^0 profile over a window of twists then determines
-the splitting multiset uniquely.
+differential.
+
+The splitting type is read from the fewest twists.  On P^1, with
+E = (+) O(a_i), h^1(E(m)) = 0 means every a_i >= -m-1 and h^0(E(m)) = 0
+means every a_i <= -m-1, so the walk starts at the balanced twist
+-floor(deg/rank) - 1 and stops as soon as both have vanished; the second
+differences of h^0 in between give the multiplicities.  A conic needs
+twists -2 and -3 only.
 
 A curve is checked only by ``ThreeTermComplex.validate`` on the complex
 ``splitting_type`` builds: no common root of the coordinate forms or of
 the Jacobian minors, and a zero composite.  By Euler, row i of the
 composite is d_i times section i along the curve, so the characteristic
 must divide no d_i; ``euler_jacobian_complex`` refuses it otherwise.
+
+Over L = GF(p) or GF(p^k) = GF(p)[theta]/(f), a form is a polynomial in
+(t, theta) with GF(p) coefficients, and the sections' partials have GF(p)
+coefficients.  So the complex is built (``compose_in_forms``) and checked
+(the composite and the maximal minors in ``validate``) on a grid of
+points of GF(p)^2 large enough for the degrees in t and theta: the forms
+are evaluated there, multiplied elementwise as int64 arrays mod p, and
+interpolated back with two cached Vandermonde inverses, with theta^l
+reduced mod f at the end.  Where ``fields.int64_modulus`` does not answer
+(QQ, large p) or the grid does not fit in GF(p), the same results come
+from products of the forms in field operations, which are also the
+oracle in the tests.
 """
 
+import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import linalg
+from .fields import PrimeField, int64_modulus
 from .conic_system import DegenerateInstance, DerivedSystem, _embedder
 from .counting import DerivedSolver
 from .multipoly import PolyRing
@@ -45,10 +68,60 @@ class SplittingError(RuntimeError):
 
 
 def compose_in_forms(polys, forms):
-    """Substitute binary forms for the variables of homogeneous
-    polynomials, one result per polynomial; coefficients must already live
-    in the forms' field.  The powers of the forms are built once for the
-    whole list."""
+    """Substitute binary forms of one degree for the variables of
+    homogeneous polynomials, one result per polynomial.  The coefficients
+    lie in the prime field of the forms' field: GF(p) for forms over GF(p)
+    or GF(p^k), QQ for forms over QQ.
+
+    On the GF(p) grid when it fits, else by products of the forms."""
+    if not polys:
+        return []
+    degrees = [poly.degree() for poly in polys]
+    if min(degrees) < 0:
+        raise ValueError("zero polynomial has no well-defined output degree")
+    e = forms[0].degree
+    if any(f.degree != e for f in forms):
+        raise ValueError("forms must share one degree")
+    # the polynomials of one degree share their monomials' values
+    groups = {}
+    for i, d in enumerate(degrees):
+        members, monomials = groups.setdefault(d, ([], {}))
+        members.append(i)
+        for mon in polys[i].terms:
+            monomials.setdefault(mon, len(monomials))
+    L = forms[0].field
+    top = max(degrees)
+    grid = _Grid.fitting(L, top * e + 1, top * (_ext_degree(L) - 1) + 1,
+                         max(len(monomials) for _, monomials in groups.values()))
+    if grid is None:
+        return _compose_by_products(polys, forms)
+    p = grid.p
+    # powers[j, n]: the values of forms[j]^n on the grid
+    powers = np.ones((len(forms), top + 1) + grid.shape, dtype=np.int64)
+    if top:
+        powers[:, 1] = grid.values(forms)
+    for n in range(2, top + 1):
+        powers[:, n] = powers[:, n - 1] * powers[:, 1] % p
+    out = [None] * len(polys)
+    for d, (members, monomials) in groups.items():
+        exps = np.array(list(monomials), dtype=np.int64)
+        values = np.ones((len(exps),) + grid.shape, dtype=np.int64)
+        for j in range(len(forms)):
+            values = values * powers[j, exps[:, j]] % p
+        coeffs = np.zeros((len(members), len(monomials)), dtype=np.int64)
+        for row, i in enumerate(members):
+            for mon, c in polys[i].terms.items():
+                coeffs[row, monomials[mon]] = c
+        composed = grid.forms(np.tensordot(coeffs, values, axes=1) % p,
+                              [d * e] * len(members))
+        for i, form in zip(members, composed):
+            out[i] = form
+    return out
+
+
+def _compose_by_products(polys, forms):
+    """``compose_in_forms`` in field operations: the powers of the forms are
+    built once for the whole list."""
     F = forms[0].field
     e = forms[0].degree
     power_cache = [dict() for _ in forms]
@@ -63,20 +136,106 @@ def compose_in_forms(polys, forms):
 
     out = []
     for poly in polys:
-        deg = poly.degree()
-        if deg < 0:
-            raise ValueError("zero polynomial has no well-defined output degree")
-        total = BinaryForm.zero(F, deg * e)
+        embed = _embedder(poly.ring.field, F)
+        total = BinaryForm.zero(F, poly.degree() * e)
         for mon, c in poly.terms.items():
-            term = BinaryForm(F, 0, [c])
+            term = BinaryForm(F, 0, [embed(c)])
             for i, expo in enumerate(mon):
                 if expo:
                     term = term * powf(i, expo)
-            if term.degree != total.degree:
-                raise ValueError("forms must share one degree")
             total = total + term
         out.append(total)
     return out
+
+
+def _ext_degree(field):
+    """k for GF(p^k), 1 for GF(p) and QQ."""
+    return getattr(field, "degree", 1)
+
+
+@functools.lru_cache(maxsize=16)
+def _vandermonde(p, n):
+    """[a^i] for a, i < n over GF(p), and its inverse, whose column a holds
+    the coefficients of the Lagrange polynomial that is 1 at a and 0 at
+    the other points: m(t) / (t - a) scaled to 1 at a, m = prod (t - b)."""
+    x = np.arange(n, dtype=np.int64)
+    v = np.ones((n, n), dtype=np.int64)
+    for i in range(1, n):
+        v[:, i] = v[:, i - 1] * x % p
+    m = np.zeros(n + 1, dtype=np.int64)
+    m[0] = 1
+    for b in range(n):
+        m[1:] = (m[:-1] - b * m[1:]) % p
+        m[0] = -b * m[0] % p
+    # synthetic division by t - a, for every a at once
+    q = np.zeros((n, n), dtype=np.int64)
+    q[:, n - 1] = 1
+    for i in range(n - 1, 0, -1):
+        q[:, i - 1] = (m[i] + x * q[:, i]) % p
+    at_a = (q * v % p).sum(axis=1) % p
+    scale = np.array([pow(int(c), p - 2, p) for c in at_a], dtype=np.int64)
+    return v, (q * scale[:, None] % p).T
+
+
+@functools.lru_cache(maxsize=16)
+def _reduction(field, n):
+    """(n, k) array: row l holds theta^l in GF(p^k), or [[1]] over GF(p)."""
+    if isinstance(field, PrimeField):
+        return np.ones((1, 1), dtype=np.int64)
+    return linalg.generator_powers(field, n)
+
+
+class _Grid:
+    """Binary forms over L = GF(p) or GF(p)[theta]/(f) as polynomials in
+    (t, theta) over GF(p), by their values at the points (a, b), a < nt,
+    b < ntheta, of GF(p)^2.  A product of forms is then an elementwise
+    product of values, exact while its degrees stay below nt in t and
+    ntheta in theta; ``forms`` interpolates and reduces theta^l mod f.
+    Over GF(p) there is no theta and ntheta is 1."""
+
+    def __init__(self, field, p, nt, ntheta):
+        self.field, self.p, self.k = field, p, _ext_degree(field)
+        self.shape = (nt, ntheta)
+        self.t, self.t_inv = _vandermonde(p, nt)
+        self.theta, self.theta_inv = _vandermonde(p, ntheta)
+        self.reduce = _reduction(field, ntheta)
+
+    @classmethod
+    def fitting(cls, field, nt, ntheta, length):
+        """The grid when int64 arithmetic mod p is exact for sums of
+        ``length`` products and for the grid's own matrix products, and
+        the grid fits in GF(p)^2; None otherwise (QQ, large p, small p)."""
+        p = getattr(field, "p", None)
+        if p is None or max(nt, ntheta) > p:
+            return None
+        base = field if isinstance(field, PrimeField) else PrimeField(p)
+        if int64_modulus(base, max(nt, ntheta, length)) is None:
+            return None
+        return cls(field, p, nt, ntheta)
+
+    def values(self, forms):
+        """(len(forms), nt, ntheta) values of forms of degree below nt."""
+        p, k = self.p, self.k
+        coeffs = np.zeros((len(forms), max(f.degree for f in forms) + 1, k),
+                          dtype=np.int64)
+        for i, f in enumerate(forms):
+            if f:
+                coeffs[i, :f.poly.degree + 1] = np.reshape(f.poly.coeffs, (-1, k))
+        at_t = self.t[:, :coeffs.shape[1]] @ coeffs % p
+        return at_t @ self.theta[:, :k].T % p
+
+    def forms(self, values, degrees):
+        """The forms of the given degrees with these values, one per leading
+        index, as a generator: interpolation runs on the whole array, the
+        conversion to field elements only as far as it is read."""
+        p, L = self.p, self.field
+        coeffs = self.t_inv @ values % p @ self.theta_inv.T % p
+        coeffs = (coeffs @ self.reduce % p).tolist()
+        if self.k == 1:
+            return (BinaryForm(L, d, [c for c, in row[:d + 1]])
+                    for row, d in zip(coeffs, degrees))
+        return (BinaryForm(L, d, list(map(tuple, row[:d + 1])))
+                for row, d in zip(coeffs, degrees))
 
 
 @dataclass
@@ -115,23 +274,55 @@ class ThreeTermComplex:
             if binary_forms_common_root(self.alpha):
                 raise ComplexInvariantError("first map vanishes at a point")
         if self.beta and self.alpha:
-            for row in self.beta:
-                acc = None
-                for b, a in zip(row, self.alpha):
-                    term = b * a
-                    acc = term if acc is None else acc + term
-                if acc:
-                    raise ComplexInvariantError("composition of the maps is nonzero")
+            if any(_composite(F, self.alpha, self.beta)):
+                raise ComplexInvariantError("composition of the maps is nonzero")
         if self.beta:
-            r = len(self.beta)
-            # a generator: the common-root test stops at the first unit gcd
-            minors = (_form_det(F, [[self.beta[i][j] for j in cols]
-                                    for i in range(r)])
-                      for cols in itertools.combinations(
-                          range(len(self.mid_degrees)), r))
-            if binary_forms_common_root(minors):
+            if binary_forms_common_root(_maximal_minors(F, self.beta)):
                 raise ComplexInvariantError("second map drops rank at a point")
         return self
+
+
+def _composite(field, alpha, beta):
+    """The entries of the column beta * alpha, one form per row of beta: on
+    the GF(p) grid when it fits, else by products of the forms."""
+    # a row of the composite is homogeneous, so its first term gives its degree
+    degrees = [row[0].degree + alpha[0].degree for row in beta]
+    grid = _Grid.fitting(field, max(degrees) + 1, 2 * (_ext_degree(field) - 1) + 1,
+                         len(alpha))
+    if grid is None:
+        return [functools.reduce(operator.add, map(operator.mul, row, alpha))
+                for row in beta]
+    a = grid.values(alpha)
+    rows = np.stack([(grid.values(row) * a).sum(axis=0) for row in beta])
+    return grid.forms(rows % grid.p, degrees)
+
+
+def _maximal_minors(field, beta):
+    """The r x r minors of the r-row matrix of forms ``beta``, one per
+    choice of columns, as a generator, so that a common-root test stops at
+    the first unit gcd.  On the GF(p) grid when it fits, else by cofactor
+    expansion."""
+    r = len(beta)
+    subsets = list(itertools.combinations(range(len(beta[0])), r))
+    # a minor is homogeneous, so its diagonal term gives its degree
+    degrees = [sum(row[j].degree for row, j in zip(beta, cols)) for cols in subsets]
+    grid = _Grid.fitting(field, sum(max(f.degree for f in row) for row in beta) + 1,
+                         r * (_ext_degree(field) - 1) + 1, 1)
+    if grid is None or not subsets:
+        return (_form_det(field, [[row[j] for j in cols] for row in beta])
+                for cols in subsets)
+    p = grid.p
+    entries = [grid.values(row) for row in beta]
+    subsets = np.array(subsets, dtype=np.int64)
+    dets = np.zeros((len(subsets),) + grid.shape, dtype=np.int64)
+    # Leibniz: one product of r entries per permutation
+    for perm in itertools.permutations(range(r)):
+        term = np.ones_like(dets)
+        for i, j in enumerate(perm):
+            term = term * entries[i][subsets[:, j]] % p
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        dets = (dets - term if inversions % 2 else dets + term) % p
+    return grid.forms(dets, degrees)
 
 
 def _form_det(field, mat):
@@ -159,9 +350,8 @@ def euler_jacobian_complex(ci, curve):
         raise ValueError(f"characteristic {p} divides a degree of {md.degrees}")
     L = curve.field
     e = curve.degree
-    embed = _embedder(ci.ring.field, L)
-    partials = [[sL.derivative(j) for j in range(md.ambient + 1)]
-                for sL in (s.map_coefficients(embed, L) for s in ci.sections)]
+    partials = [[s.derivative(j) for j in range(md.ambient + 1)]
+                for s in ci.sections]
     # one composition for every nonzero partial, sharing the powers
     composed = iter(compose_in_forms([q for row in partials for q in row if q],
                                      curve.coords))
@@ -323,51 +513,58 @@ def _d2_image(cx, F, prev, mid, nxt, h1_prev, h0_next, vec):
 # ---------------------------------------------------------------------------
 # splitting types
 
-MAX_WINDOW = 80     # the farthest twist at which the h^0 profile is read
+MAX_WINDOW = 80     # the farthest twist from the balanced one that is read
 
 
 def splitting_type_of_complex(cx):
-    """Splitting multiset of the middle cohomology bundle, from the h^0
-    profile over a twist window that extends itself until the profile is
-    pinned on both sides."""
+    """Splitting multiset of the middle cohomology bundle E = (+) O(a_i),
+    from the fewest twists.
+
+    h^0(E(m)) = 0 means every a_i <= -m-1, and h^1(E(m)) = 0 means every
+    a_i >= -m-1.  So the walk starts at the balanced twist
+    -floor(deg/rank) - 1 and goes down to the first lo with h^0 = 0 and up
+    to the first hi with h^1 = 0.  The second differences of h^0 count the
+    summands of degree -m-1 for lo <= m < hi; those of degree -hi-1 fill
+    the rest of the rank."""
     cx.validate()
     rank = cx.rank
     deg = cx.euler_characteristic_degree
     if rank <= 0:
         raise ComplexInvariantError("middle term has nonpositive rank")
-    h0 = {}
+    start = -(deg // rank) - 1
+    h0, h1 = {}, {}
 
-    def get(m):
+    def dims(m):
         if m not in h0:
-            a, b = hypercohomology_dims(cx, m)
-            if a - b != deg + rank * (m + 1):
+            if abs(m - start) > MAX_WINDOW:
+                raise SplittingError("no twist pins the profile within %d of %d"
+                                     % (MAX_WINDOW, start))
+            h0[m], h1[m] = hypercohomology_dims(cx, m)
+            if h0[m] - h1[m] != deg + rank * (m + 1):
                 raise SplittingError("Riemann-Roch failed at twist %d" % m)
-            h0[m] = a
-        return h0[m]
+        return h0[m], h1[m]
 
-    lo = 0
-    while get(lo) > 0:
+    lo = start
+    while dims(lo)[0] > 0:
         lo -= 1
-        if lo < -MAX_WINDOW:
-            raise SplittingError("no vanishing twist found")
-    hi = 1
-    while get(hi) - get(hi - 1) != rank:
+    hi = start
+    while dims(hi)[1] > 0:
         hi += 1
-        if hi > MAX_WINDOW:
-            raise SplittingError("profile never reaches full rank")
     splitting = []
-    for m in range(lo + 1, hi + 1):
-        k = (get(m) - get(m - 1)) - (get(m - 1) - get(m - 2) if m - 1 > lo else 0)
+    for m in range(lo, hi):
+        below = h0[m - 1] if m > lo else 0
+        k = h0[m + 1] - 2 * h0[m] + below
         if k < 0:
             raise SplittingError("h^0 increments decreased")
-        splitting.extend([-m] * k)
-    splitting.sort(reverse=True)
+        splitting.extend([-m - 1] * k)
+    splitting.extend([-hi - 1] * (rank - len(splitting)))
     if len(splitting) != rank or sum(splitting) != deg:
         raise SplittingError("profile matches no splitting")
-    # round trip: the multiset must reproduce every computed h^0
+    splitting.sort(reverse=True)
+    # round trip: the multiset must reproduce every computed h^0 (and so,
+    # by Riemann-Roch, every h^1)
     for m, value in h0.items():
-        predicted = sum(max(a + m + 1, 0) for a in splitting)
-        if predicted != value:
+        if sum(max(a + m + 1, 0) for a in splitting) != value:
             raise SplittingError("splitting does not reproduce the profile")
     return tuple(splitting)
 

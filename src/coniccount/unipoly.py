@@ -159,7 +159,8 @@ class UniPoly:
 
 
 def squarefree_part(f):
-    """f divided by gcd(f, f'); its degree counts the distinct roots."""
+    """f divided by gcd(f, f'); its degree counts the distinct roots when
+    the characteristic is 0 or exceeds ``f.degree``."""
     if not f:
         raise ValueError("zero polynomial")
     g = f.gcd(f.derivative())
@@ -169,8 +170,14 @@ def squarefree_part(f):
 
 
 def squarefree_root_count(f):
-    """Number of distinct roots of f in an algebraic closure; it is
-    ``f.degree`` exactly when ``is_squarefree(f)``."""
+    """Number of distinct roots of f in an algebraic closure, provided the
+    characteristic is 0 or exceeds ``f.degree``, as ``counting.MIN_PRIME``
+    ensures in the pipeline.  In any characteristic it is ``f.degree``
+    exactly when ``is_squarefree(f)``.
+
+    Below that, a root whose multiplicity the characteristic divides
+    divides gcd(f, f') to its full power, so the count misses it: over
+    GF(5), x^6 - x^5 has the roots 0 and 1, and the count is 1."""
     return squarefree_part(f).degree
 
 

@@ -2,9 +2,13 @@
 time budgets.  Run with ``pytest -v -s tests/test_acceptance.py`` to see
 one line per criterion."""
 
+import json
 import math
 import time
 
+import pytest
+
+from coniccount import cli
 from coniccount.fields import PrimeField
 from coniccount.conic_system import (dimension_from_degrees, random_ci,
                                      predicted_profile)
@@ -186,3 +190,31 @@ def test_criterion_11_dimension_formula():
         assert obstruction_rank(md) == md.n + 1 + 3 * md.r
         assert boundary_family_dimension(md) == 2 * md.n - 2
     _report(11, 1, t0, "3n-2d+1 and the boundary family dimension 2n-2")
+
+
+def test_criterion_12_every_quartic_conic_splits():
+    t0 = time.time()
+    md = dimension_from_degrees((4,))
+    ci, results, record = solve_and_verify((4,), prime=10007, seed=0)
+    assert sorted(k for _, _, k in results) == [3, 9, 14, 14, 32]
+    assert sum(k for _, _, k in results) == record.count == 72
+    for conic, verified, orbit in results:
+        assert verified
+        assert splitting_type(ci, conic_to_map(conic, md)) == (2, 1, 1, 1, 1)
+    _report(12, 4, t0, "(4,) seed 0: all 72 conics verify and split (2,1,1,1,1)")
+
+
+def test_criterion_13_splitting_covers_every_conic(tmp_path, capsys):
+    t0 = time.time()
+    out = tmp_path / "split.json"
+    for prime in PRIMES:
+        for seed in range(10):
+            with pytest.raises(SystemExit) as info:
+                cli.main(["splitting", "--degrees", "2,3", "--primes", str(prime),
+                          "--seeds", str(seed), "--out", str(out)])
+            assert info.value.code == 0, capsys.readouterr().out
+            data = json.loads(out.read_text())
+            assert "covered" not in data
+            assert sum(e["orbit_degree"] for e in data["entries"]) == 12
+    capsys.readouterr()
+    _report(13, 10, t0, "splitting --degrees 2,3 covers 12 of 12, 3 primes x 10 seeds")

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from coniccount.counting import solve_and_verify
+
 BASE = [sys.executable, "-m", "coniccount.cli"]
 
 
@@ -140,14 +142,23 @@ def test_non_reduced_instance_is_resampled(tmp_path):
         solver.count_and_certify()
 
 
-def test_splitting_fails_when_orbits_are_skipped(tmp_path):
-    # (2,3) GF(31013) seed 1: 12 conics, of which 10 lie in Galois orbits
-    # above the degree cap and are not reconstructed
+def test_splitting_fails_when_an_orbit_is_skipped(tmp_path, monkeypatch, capsys):
+    # (2,3) GF(31013) seed 1 has 12 conics, 10 of them in orbits above
+    # degree 6; solve_and_verify returns every orbit, so the skip is forced
+    # here, and the report must still say what it leaves out
+    from coniccount import cli
+
+    def skipping(*args, **kwargs):
+        ci, results, record = solve_and_verify(*args, **kwargs)
+        return ci, [r for r in results if r[2] <= 6], record
+
+    monkeypatch.setattr(cli, "solve_and_verify", skipping)
     out = tmp_path / "split.json"
-    res = run_cli("splitting", "--degrees", "2,3", "--primes", "31013",
-                  "--seeds", "1", "--out", str(out))
-    assert res.returncode == 5, res.stdout + res.stderr
-    assert "FAIL: covered 2 of 12" in res.stdout
+    with pytest.raises(SystemExit) as info:
+        cli.main(["splitting", "--degrees", "2,3", "--primes", "31013",
+                  "--seeds", "1", "--out", str(out)])
+    assert info.value.code == 5
+    assert "FAIL: covered 2 of 12" in capsys.readouterr().out
     data = json.loads(out.read_text())
     assert data["covered"] == sum(e["orbit_degree"] for e in data["entries"]) == 2
 

@@ -1,15 +1,23 @@
+import functools
+import itertools
+import operator
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coniccount.fields import PrimeField
+from coniccount import splitting
+from coniccount.fields import ExtensionField, PrimeField
 from coniccount.conic_system import DegenerateInstance, dimension_from_degrees, random_ci
 from coniccount.counting import solve_and_verify
+from coniccount.multipoly import PolyRing
 from coniccount.splitting import (BinaryForm, ThreeTermComplex, RationalCurveMap,
                                   hypercohomology_dims, splitting_type_of_complex,
                                   splitting_type, is_quasi_line, conic_to_map,
                                   find_line_through_point, euler_jacobian_complex,
                                   binary_forms_common_root, compose_in_forms,
                                   ComplexInvariantError)
+from coniccount.unipoly import UniPoly, factor_squarefree, is_squarefree
 
 F = PrimeField(10007)
 
@@ -41,8 +49,14 @@ def test_riemann_roch_on_middle_complex():
 @given(st.lists(st.integers(-4, 5), min_size=1, max_size=6))
 def test_splitting_round_trip_on_split_bundles(values):
     cx = ThreeTermComplex(F, [], sorted(values, reverse=True), [], [], [])
-    st_ = splitting_type_of_complex(cx)
+    with pytest.MonkeyPatch.context() as mp:
+        twists = _record_twists(mp)
+        st_ = splitting_type_of_complex(cx)
     assert list(st_) == sorted(values, reverse=True)
+    # the walk reads h^0 and h^1 from the first twist where h^0 vanishes to
+    # the first where h^1 does, and nothing else
+    assert sorted(twists) == list(range(-max(values) - 1, -min(values)))
+    assert st_ == _splitting_by_full_walk(cx)
 
 
 def test_euler_sequence_on_p1():
@@ -252,3 +266,192 @@ def test_tangent_conic_parametrization():
         curve = conic_to_map(conic, md)
         st_ = splitting_type(ci, curve)
         assert st_ == (2, 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the whole h^0 profile, and the products of forms that the GF(p)
+# grid stands in for
+
+
+def _splitting_by_full_walk(cx):
+    """The splitting from the h^0 profile read down from twist 0 until it
+    vanishes and up from twist 1 until it grows by the rank."""
+    rank, deg = cx.rank, cx.euler_characteristic_degree
+    h0 = {}
+
+    def get(m):
+        if m not in h0:
+            a, b = hypercohomology_dims(cx, m)
+            assert a - b == deg + rank * (m + 1)
+            h0[m] = a
+        return h0[m]
+
+    lo = 0
+    while get(lo) > 0:
+        lo -= 1
+    hi = 1
+    while get(hi) - get(hi - 1) != rank:
+        hi += 1
+    out = []
+    for m in range(lo + 1, hi + 1):
+        k = (get(m) - get(m - 1)) - (get(m - 1) - get(m - 2) if m - 1 > lo else 0)
+        out.extend([-m] * k)
+    return tuple(sorted(out, reverse=True))
+
+
+def _record_twists(mp):
+    """Log the twist of every ``hypercohomology_dims`` call into the
+    returned list, for as long as the monkeypatch ``mp`` holds."""
+    twists = []
+    real = splitting.hypercohomology_dims
+
+    def logged(cx, twist=0):
+        twists.append(twist)
+        return real(cx, twist)
+
+    mp.setattr(splitting, "hypercohomology_dims", logged)
+    return twists
+
+
+def _curves_the_tests_split():
+    """(ci, curve, splitting) for every conic and line split in this file,
+    and the conics of a (2,3) instance, which has two sections and an
+    orbit of degree 11."""
+    out = []
+    for degrees, variant, seed in (((3,), "secant", 0), ((3,), "tangent", 0),
+                                   ((2, 2), "secant", 0), ((2, 3), "secant", 1)):
+        md = dimension_from_degrees(degrees)
+        ci, results, _ = solve_and_verify(degrees, variant=variant, prime=10007,
+                                          seed=seed)
+        out += [(ci, conic_to_map(conic, md), (2,) + (1,) * (md.n - 1))
+                for conic, _, _ in results]
+    for degrees, st_ in (((3,), (2, 0, 0)), ((3, 2), (2, 1, 0, 0, 0))):
+        ci = random_ci(dimension_from_degrees(degrees), F, 0)
+        out.append((ci, find_line_through_point(ci), st_))
+    return out
+
+
+def test_every_split_curve_matches_the_oracles(monkeypatch):
+    twists = _record_twists(monkeypatch)
+    curves = _curves_the_tests_split()
+    assert max(curve.field.degree for _, curve, _ in curves
+               if isinstance(curve.field, ExtensionField)) == 11
+    for ci, curve, expected in curves:
+        L = curve.field
+        cx = euler_jacobian_complex(ci, curve)
+        partials = [q for s in ci.sections for j in range(ci.md.ambient + 1)
+                    if (q := s.derivative(j))]
+        assert (compose_in_forms(partials, curve.coords)
+                == splitting._compose_by_products(partials, curve.coords))
+        subsets = itertools.combinations(range(len(cx.mid_degrees)), len(cx.beta))
+        assert list(splitting._maximal_minors(L, cx.beta)) == [
+            splitting._form_det(L, [[row[j] for j in cols] for row in cx.beta])
+            for cols in subsets]
+        composite = list(splitting._composite(L, cx.alpha, cx.beta))
+        assert len(composite) == len(cx.beta) and not any(composite)
+        twists.clear()
+        assert splitting_type_of_complex(cx) == expected
+        # a conic needs twists -2 and -3 only, these lines -1 as well
+        assert sorted(twists) == ([-3, -2] if curve.degree == 2 else [-3, -2, -1])
+        assert _splitting_by_full_walk(cx) == expected
+
+
+@functools.lru_cache(maxsize=None)
+def _field(p, k):
+    """GF(p) for k = 1, else GF(p^k) from a seeded irreducible modulus."""
+    if k == 1:
+        return PrimeField(p)
+    rng = random.Random(f"modulus:{p}:{k}")
+    Fp = PrimeField(p)
+    while True:
+        f = UniPoly(Fp, [rng.randrange(p) for _ in range(k)] + [1])
+        if is_squarefree(f) and [g.degree for g in factor_squarefree(f, rng)] == [k]:
+            return ExtensionField(p, list(f.coeffs))
+
+
+def _random_form(rng, L, degree):
+    """A random form; one in three has a root at infinity, one in six is
+    zero."""
+    draw = rng.randrange(6)
+    if draw == 0:
+        return BinaryForm.zero(L, degree)
+    coeffs = [L.random_element(rng) for _ in range(degree + 1)]
+    if draw < 3:
+        coeffs[-1] = L.zero
+    return BinaryForm(L, degree, coeffs)
+
+
+def _random_polys(rng, Fp, nvars):
+    """Nonzero homogeneous polynomials over GF(p) of degrees 0 to 3, with
+    some monomials left out."""
+    ring = PolyRing(Fp, nvars)
+    polys = []
+    for _ in range(rng.randrange(1, 5)):
+        mons = ring.monomials_of_degree(rng.randrange(4))
+        terms = {m: Fp.random_element(rng) for m in mons if rng.randrange(3)}
+        terms[rng.choice(mons)] = 1 + rng.randrange(Fp.p - 1)
+        polys.append(ring.from_dict(terms))
+    return polys
+
+
+def _check_by_evaluation(rng, polys, forms, composed):
+    """Each composite has degree deg * e and takes at a random t the value
+    of its polynomial at the forms' values."""
+    L, e = forms[0].field, forms[0].degree
+    t = L.random_element(rng)
+    xs = [f.poly.evaluate(t) for f in forms]
+    for poly, h in zip(polys, composed):
+        assert h.degree == poly.degree() * e
+        lifted = poly.map_coefficients(splitting._embedder(poly.ring.field, L), L)
+        assert h.poly.evaluate(t) == lifted.evaluate(xs)
+
+
+@settings(deadline=None, max_examples=60)
+@given(k=st.integers(1, 12), e=st.integers(0, 3), nvars=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32))
+def test_compose_on_the_grid_matches_products(k, e, nvars, seed):
+    rng = random.Random(seed)
+    L = _field(10007, k)
+    polys = _random_polys(rng, PrimeField(10007), nvars)
+    forms = [_random_form(rng, L, e) for _ in range(nvars)]
+    composed = compose_in_forms(polys, forms)
+    assert composed == splitting._compose_by_products(polys, forms)
+    _check_by_evaluation(rng, polys, forms, composed)
+
+
+@settings(deadline=None, max_examples=60)
+@given(k=st.integers(1, 12), r=st.integers(1, 3), extra=st.integers(0, 2),
+       e=st.integers(0, 2), seed=st.integers(0, 2 ** 32))
+def test_minors_and_composite_on_the_grid_match_products(k, r, extra, e, seed):
+    rng = random.Random(seed)
+    L = _field(10007, k)
+    ncols = r + extra
+    beta = []
+    for _ in range(r):
+        degree = rng.randrange(4)
+        beta.append([_random_form(rng, L, degree) for _ in range(ncols)])
+    alpha = [_random_form(rng, L, e) for _ in range(ncols)]
+    assert list(splitting._maximal_minors(L, beta)) == [
+        splitting._form_det(L, [[row[j] for j in cols] for row in beta])
+        for cols in itertools.combinations(range(ncols), r)]
+    assert list(splitting._composite(L, alpha, beta)) == [
+        functools.reduce(operator.add, map(operator.mul, row, alpha))
+        for row in beta]
+
+
+@pytest.mark.parametrize("p, k", [(2 ** 61 - 1, 1), (2 ** 61 - 1, 3), (7, 2)])
+def test_products_run_where_the_grid_does_not_fit(p, k):
+    # int64 sums overflow at p = 2^61 - 1, and ten points in t do not fit
+    # in GF(7)
+    L = _field(p, k)
+    assert splitting._Grid.fitting(L, 10, 1, 1) is None
+    rng = random.Random(f"fallback:{p}:{k}")
+    for _ in range(5):
+        polys = [q for q in _random_polys(rng, PrimeField(p), 3) if q.degree() == 3]
+        polys = polys or [PolyRing(PrimeField(p), 3).gen(0) ** 3]
+        forms = [_random_form(rng, L, 3) for _ in range(3)]
+        _check_by_evaluation(rng, polys, forms, compose_in_forms(polys, forms))
+        beta = [[_random_form(rng, L, 3) for _ in range(3)] for _ in range(2)]
+        assert list(splitting._maximal_minors(L, beta)) == [
+            splitting._form_det(L, [[row[j] for j in cols] for row in beta])
+            for cols in itertools.combinations(range(3), 2)]

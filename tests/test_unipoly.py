@@ -47,6 +47,17 @@ def test_squarefree_root_count_examples():
     assert squarefree_root_count(h) == p
 
 
+def test_squarefree_root_count_needs_the_characteristic_above_the_degree():
+    # x^6 - x^5 = x^5 (x - 1): the root 0 has multiplicity 5, so over GF(5)
+    # f' = x^5 and f / gcd(f, f') = x - 1 loses it
+    F5 = PrimeField(5)
+    f = UniPoly(F5, [0, 0, 0, 0, 0, 4, 1])
+    assert sorted(x for x in range(5) if f.evaluate(x) == 0) == [0, 1]
+    assert squarefree_root_count(f) == 1
+    # over GF(7) > deg f both roots count
+    assert squarefree_root_count(UniPoly(PrimeField(7), [0, 0, 0, 0, 0, 6, 1])) == 2
+
+
 def test_zero_polynomial_rejected():
     with pytest.raises(ValueError):
         squarefree_root_count(UniPoly.zero(QQ))
