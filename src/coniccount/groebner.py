@@ -12,10 +12,18 @@ order, a product is one addition and a divisibility test one addition
 and one mask.  Buchberger keeps each basis element once, packed and
 monic, applies the product and chain criteria, and selects pairs by the
 smallest lcm, cached when the pair is made; remainders come off a
-max-heap of the terms still to reduce.  Multiplication matrices are read
-off the border of the reduced basis: a column whose shifted monomial is
-standard is a unit vector, one whose shifted monomial is a leading term
-is minus that element's tail, and only the other columns are reduced.
+max-heap of the terms still to reduce.  Coefficients are plain scalars
+(``Fraction`` or int) combined with ``+`` and ``*``; over GF(p) they
+accumulate unreduced and each is brought into [0, p) once, when its
+monomial comes off the heap.
+
+Multiplication matrices are read off the normal forms of the border
+monomials x_v m (m standard), computed once each in increasing grevlex
+order: a standard monomial is a unit vector, a leading term minus its
+stored tail, and any other border monomial b is x_u w for an earlier
+border monomial w, so NF(b) is the sum of c_s NF(x_u s) over
+NF(w) = sum c_s s, a combination of normal forms already known (the
+FGLM order of Faugere, Gianni, Lazard and Mora).
 The public functions take and return ``MultiPoly`` objects.
 """
 
@@ -82,8 +90,13 @@ class _Packed:
     the lead when the basis is reduced."""
 
     def __init__(self, ring, polys=(), degree=0):
+        if isinstance(ring.field.zero, tuple):
+            # + on GF(p^k) elements would concatenate their tuples
+            raise ValueError(f"packed reduction needs scalar coefficients, not {ring.field!r}")
         self.ring = ring
         self.field = ring.field
+        # 0 over QQ, where coefficients are exact as they are
+        self.modulus = ring.field.characteristic
         self.packing = _Packing(ring.nvars, max([degree] + [p.degree() for p in polys]))
         self.elements = []
         for p in polys:
@@ -121,19 +134,26 @@ class _Packed:
 
     def reduce(self, work, elements=None):
         """Full remainder of the packed polynomial ``work`` (a dict, which
-        is consumed) under division by the elements, tried in order."""
+        is consumed) under division by the elements, tried in order.
+
+        Coefficients in ``work`` may lie outside [0, p): each is reduced
+        when its monomial comes off the heap, and skipped if it is zero
+        then.  Every term a division adds is below the monomial divided,
+        so no monomial enters the heap twice."""
         if elements is None:
             elements = self.elements
-        F = self.field
-        add, mul, zero = F.add, F.mul, F.zero
+        p = self.modulus
         guard, one = self.packing.guard, self.packing.one
+        get = work.get
         heap = [-m for m in work]
         heapify(heap)
         rem = {}
         while heap:
             m = -heappop(heap)
-            c = work.pop(m, None)
-            if c is None:  # cancelled, or a repeated heap entry
+            c = work.pop(m)
+            if p:
+                c %= p
+            if not c:
                 continue
             for _, inv, tail in elements:
                 q = m + inv
@@ -141,16 +161,12 @@ class _Packed:
                     q -= one
                     for tm, tc in tail:
                         mm = tm + q
-                        old = work.get(mm)
+                        old = get(mm)
                         if old is None:
-                            work[mm] = mul(c, tc)
+                            work[mm] = c * tc
                             heappush(heap, -mm)
                         else:
-                            s = add(old, mul(c, tc))
-                            if s == zero:
-                                del work[mm]
-                            else:
-                                work[mm] = s
+                            work[mm] = old + c * tc
                     break
             else:
                 rem[m] = c
@@ -158,11 +174,9 @@ class _Packed:
 
 
 def normal_form(poly, basis):
-    """Full remainder of poly under division by the basis: a list of
-    polynomials, tried in order, or the packed basis of a QuotientAlgebra."""
-    if not isinstance(basis, _Packed):
-        basis = _Packed(poly.ring, basis, poly.degree())
-    basis.widen(poly.degree())
+    """Full remainder of poly under division by the basis, a list of
+    polynomials tried in order."""
+    basis = _Packed(poly.ring, basis, poly.degree())
     return basis.unpack(basis.reduce(basis.pack(poly)))
 
 
@@ -219,11 +233,8 @@ def groebner_basis(system):
         qi, qj = lcm + inv_i - one, lcm + inv_j - one
         work = {m + qj: c for m, c in tail_j}
         for m, c in tail_i:
-            s = F.sub(work.get(m + qi, F.zero), c)
-            if s == F.zero:
-                del work[m + qi]
-            else:
-                work[m + qi] = s
+            m += qi
+            work[m] = work.get(m, 0) - c
         rem = basis.reduce(work)
         if rem:
             basis.append(rem)
@@ -239,7 +250,7 @@ def groebner_basis(system):
     # reduce the tails; the leads stay, since none divides another
     reduced = []
     for i, (lead, _, tail) in enumerate(minimal):
-        rem = basis.reduce({m: F.neg(c) for m, c in tail}, minimal[:i] + minimal[i + 1:])
+        rem = basis.reduce({m: -c for m, c in tail}, minimal[:i] + minimal[i + 1:])
         rem[lead] = F.one
         reduced.append((lead, rem))
     reduced.sort(key=lambda el: el[0])
@@ -284,33 +295,60 @@ def quotient_count(basis):
     return INFINITE if sm is None else len(sm)
 
 
-def multiplication_matrix(basis, var, monomials):
-    """Matrix of multiplication by x_var on the standard monomials of a
-    reduced grevlex basis: a list of polynomials, or its packed form."""
-    if not isinstance(basis, _Packed):
-        basis = _Packed(basis[0].ring, basis)
-    basis.widen(max(map(sum, monomials), default=0) + 1)
-    F = basis.field
-    packing = basis.packing
-    index = {packing.pack(m): i for i, m in enumerate(monomials)}
-    border = {lead: tail for lead, _, tail in basis.elements}
-    unit = packing.units[var]
-    cols = []
-    for m in index:
-        shifted = m + unit
-        col = [F.zero] * len(monomials)
-        if shifted in index:
-            col[index[shifted]] = F.one
+def multiplication_matrix(basis, monomials):
+    """Matrices of multiplication by each variable on the standard
+    monomials of a reduced grevlex basis: entry v is the matrix of x_v,
+    whose column m is the normal form of x_v m.
+
+    The border monomials x_v m that are not standard are reduced once
+    each, in increasing order.  A leading term reduces to minus its tail.
+    Any other border monomial b is divisible by a leading term L with
+    b != L, so b = x_u w for a variable x_u dividing b / L; w is then a
+    smaller border monomial outside the standard ones, and with
+    NF(w) = sum c_s s, NF(b) = sum c_s NF(x_u s), where every x_u s is
+    standard or a border monomial below b."""
+    F = basis[0].ring.field
+    packed = _Packed(basis[0].ring, basis, max(map(sum, monomials), default=0) + 1)
+    units = packed.packing.units
+    tails = {lead: tail for lead, _, tail in packed.elements}
+    D = len(monomials)
+    standard = [packed.packing.pack(m) for m in monomials]
+    border = sorted({m + unit for m in standard for unit in units}.difference(standard))
+    # row r of the table is the normal form of monomial r: the standard
+    # monomials first, then the border ones in increasing order
+    row = {m: r for r, m in enumerate(standard + border)}
+    # shifts[u][s]: the row of x_u times standard monomial s
+    shifts = [[row[m + unit] for m in standard] for unit in units]
+    p = int64_modulus(F, D)
+    if p is None:
+        table = [[F.one if i == j else F.zero for j in range(D)] for i in range(D)]
+        table += [[F.zero] * D for _ in border]
+    else:
+        table = np.zeros((D + len(border), D), dtype=np.int64)
+        table[range(D), range(D)] = 1
+        shifts = np.array(shifts, dtype=np.intp)
+    for r, b in enumerate(border, D):
+        tail = tails.get(b)
+        if tail is not None:
+            for m, c in tail:
+                table[r][row[m]] = c
+            continue
+        # a quotient by x_u that is not a packed monomial has a guard bit
+        # set, so it is in no row
+        u = next(u for u, unit in enumerate(units) if row.get(b - unit, 0) >= D)
+        nf = table[row[b - units[u]]]
+        if p is None:
+            out = table[r]
+            for c, s in zip(nf, shifts[u]):
+                if c != F.zero:
+                    for j, x in enumerate(table[s]):
+                        out[j] = F.add(out[j], F.mul(c, x))
         else:
-            # the normal form of a leading term is its stored, negated tail
-            nf = border.get(shifted)
-            if nf is None:
-                nf = basis.pack(normal_form(basis.unpack({shifted: F.one}), basis)).items()
-            for mm, c in nf:
-                col[index[mm]] = c
-        cols.append(col)
-    # cols are images; transpose into a conventional matrix
-    return linalg.transpose(cols)
+            nz = np.flatnonzero(nf)
+            table[r] = nf[nz] @ table[shifts[u][nz]] % p
+    if p is None:
+        return [linalg.transpose([table[s] for s in rows]) for rows in shifts]
+    return [table[rows].T.tolist() for rows in shifts]
 
 
 class QuotientAlgebra:
@@ -322,12 +360,9 @@ class QuotientAlgebra:
         monomials = standard_monomials(basis)
         if monomials is None:
             raise PositiveDimensional("quotient is infinite dimensional")
-        ring = basis[0].ring
-        self.field = ring.field
+        self.field = basis[0].ring.field
         self.monomials = monomials
-        packed = _Packed(ring, basis)
-        self.mats = [multiplication_matrix(packed, v, monomials)
-                     for v in range(ring.nvars)]
+        self.mats = multiplication_matrix(basis, monomials)
 
     def linear_form_matrix(self, lam):
         """Matrix of multiplication by the linear form sum lam[v] x_v."""

@@ -12,6 +12,7 @@ result is folded back into monomials.  Otherwise it is a ``substitute``.
 """
 
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -67,18 +68,12 @@ class PolyRing:
 
     def monomials_of_degree(self, d):
         """All exponent tuples of total degree d, grevlex-sorted."""
-        out = []
-
-        def rec(prefix, remaining, slots):
-            if slots == 1:
-                out.append(prefix + (remaining,))
-                return
-            for e in range(remaining + 1):
-                rec(prefix + (e,), remaining - e, slots - 1)
-
-        if self.nvars == 0:
+        n = self.nvars
+        if n == 0:
             return [()] if d == 0 else []
-        rec((), d, self.nvars)
+        # stars and bars: n - 1 bars among d + n - 1 slots
+        out = [tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (d + n - 1,)))
+               for bars in combinations(range(d + n - 1), n - 1)]
         out.sort(key=grevlex_key)
         return out
 

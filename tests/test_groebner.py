@@ -4,11 +4,11 @@ from itertools import permutations, product
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from coniccount.conic_system import dimension_from_degrees
 from coniccount.counting import run_trial
-from coniccount.fields import QQ, PrimeField
+from coniccount.fields import QQ, ExtensionField, PrimeField, int64_modulus
 from coniccount.multipoly import PolyRing, grevlex_key
 from coniccount.groebner import (groebner_basis, quotient_count, INFINITE,
                                  eliminant_of_linear_form,
@@ -381,3 +381,125 @@ def test_pair_lcm_wider_than_the_input():
     assert quotient_count(gb) == 7000
     for g in gens:
         assert normal_form(g, gb).is_zero()
+
+
+# -- multiplication matrices, against normal forms column by column ----------
+
+
+def _matrices_by_normal_form(basis, monomials):
+    """Matrix of each variable with column m the normal_form of x_v m."""
+    R = basis[0].ring
+    F = R.field
+    index = {m: i for i, m in enumerate(monomials)}
+    mats = []
+    for v in range(R.nvars):
+        cols = []
+        for m in monomials:
+            col = [F.zero] * len(monomials)
+            for mm, c in normal_form(R.from_dict({m: F.one}) * R.gen(v), basis).terms.items():
+                col[index[mm]] = c
+            cols.append(col)
+        mats.append([list(row) for row in zip(*cols)])
+    return mats
+
+
+def _product_columns(basis, monomials):
+    """The border monomials x_v m that are neither standard nor a leading
+    term, whose columns are built as products of earlier ones."""
+    leads = {g.leading()[0] for g in basis}
+    standard = set(monomials)
+    border = {tuple(e + (u == v) for u, e in enumerate(m))
+              for m in monomials for v in range(len(m))}
+    return border - standard - leads
+
+
+def _check_matrices(basis):
+    algebra = QuotientAlgebra(basis)
+    assert algebra.mats == _matrices_by_normal_form(basis, algebra.monomials)
+    return algebra
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 2 ** 32))
+def test_matrices_match_normal_forms_over_a_prime_field(nvars, seed):
+    rng = random.Random(seed)
+    F = PrimeField(10007)
+    R = PolyRing(F, nvars)
+    gens = _random_system(rng, R, lambda: F.random_element(rng), 3 if nvars < 4 else 2)
+    basis = groebner_basis(gens)
+    assume(quotient_count(basis) not in (INFINITE, 0))
+    _check_matrices(basis)
+
+
+def test_matrices_match_normal_forms_over_the_rationals():
+    rng = random.Random("matrices:QQ")
+    R = PolyRing(QQ, 3)
+    built = 0
+    while built < 6:
+        gens = _random_system(rng, R, lambda: Fraction(rng.randrange(-9, 10)), 2)
+        basis = groebner_basis(gens)
+        if quotient_count(basis) in (INFINITE, 0):
+            continue
+        algebra = _check_matrices(basis)
+        built += bool(_product_columns(basis, algebra.monomials))
+    assert built == 6
+
+
+def test_matrices_match_normal_forms_above_the_int64_range():
+    # D p^2 >= 2^63: the columns are combined in field operations
+    rng = random.Random("matrices:2^31")
+    F = PrimeField(2 ** 31 + 11)
+    R = PolyRing(F, 3)
+    built = 0
+    while built < 4:
+        gens = _random_system(rng, R, lambda: F.random_element(rng), 3)
+        basis = groebner_basis(gens)
+        if quotient_count(basis) in (INFINITE, 0, 1):
+            continue
+        assert int64_modulus(F, quotient_count(basis)) is None
+        algebra = _check_matrices(basis)
+        built += bool(_product_columns(basis, algebra.monomials))
+    assert built == 4
+
+
+@pytest.mark.parametrize("degrees", [(4,), (2, 3), (2, 2, 3)])
+def test_matrices_match_normal_forms_on_pipeline_bases(degrees):
+    *_, solver, _ = run_trial(dimension_from_degrees(degrees), "secant", 10007, 0,
+                              method="groebner")
+    chart_eqs, _, _ = solver._affine_chart()
+    basis = groebner_basis(chart_eqs)
+    algebra = _check_matrices(basis)
+    assert len(algebra.monomials) == solver.bezout
+    # the product rule is what the comparison exercises
+    assert _product_columns(basis, algebra.monomials)
+
+
+# -- the lazily reduced coefficients ------------------------------------------
+
+
+def test_reduction_near_2_to_the_61_is_exact():
+    # products of two coefficients reach 2^122 and sums of them pile up
+    # unreduced until their monomial leaves the heap
+    p = 2 ** 61 - 1
+    rng = random.Random("oracle:2^61")
+    F = PrimeField(p)
+    R = PolyRing(F, 3)
+    for _ in range(6):
+        gens = _random_system(rng, R, lambda: F.random_element(rng), 3)
+        basis = groebner_basis(gens)
+        assert sorted(_as_lists(basis)) == sorted(_sympy_basis(gens))
+        polys = [g * R.from_dict({(1, 0, 0): F.random_element(rng)}) +
+                 R.from_dict({(0, 2, 1): F.random_element(rng)}) for g in gens]
+        for poly in basis + polys:
+            assert all(0 < c < p for c in poly.terms.values())
+            assert all(0 < c < p for c in normal_form(poly, basis).terms.values())
+
+
+def test_groebner_basis_refuses_an_extension_field():
+    # the reduction adds coefficients with +, which on GF(p^k) tuples
+    # would concatenate them
+    L = ExtensionField(7, (1, 0, 1))
+    R = PolyRing(L, 2)
+    x, y = R.gen(0), R.gen(1)
+    with pytest.raises(ValueError, match="scalar"):
+        groebner_basis([x * x - R.one(), y - x])

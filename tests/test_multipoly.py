@@ -1,5 +1,7 @@
+import gc
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -72,6 +74,24 @@ def test_homogeneous_flag():
     assert (x * x + x * y).is_homogeneous()
     assert not (x * x + y).is_homogeneous()
     assert R.zero().is_homogeneous()
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 5])
+def test_monomials_of_degree_lists_every_exponent_tuple(nvars):
+    R = PolyRing(QQ, nvars)
+    for d in range(6):
+        every = [m for m in product(range(d + 1), repeat=nvars) if sum(m) == d]
+        assert R.monomials_of_degree(d) == sorted(every, key=grevlex_key)
+
+
+def test_monomials_of_degree_leaves_no_cyclic_garbage():
+    # cyclic garbage lives until a full collection, so a benchmark that
+    # runs more rounds would read a higher peak resident set
+    R = PolyRing(PrimeField(10007), 4)
+    gc.collect()
+    for d in range(5):
+        R.monomials_of_degree(d)
+    assert gc.collect() == 0
 
 
 def test_grevlex_order_on_classic_example():
