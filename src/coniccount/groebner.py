@@ -307,8 +307,9 @@ def multiplication_matrix(basis, monomials):
     smaller border monomial outside the standard ones, and with
     NF(w) = sum c_s s, NF(b) = sum c_s NF(x_u s), where every x_u s is
     standard or a border monomial below b."""
-    F = basis[0].ring.field
-    packed = _Packed(basis[0].ring, basis, max(map(sum, monomials), default=0) + 1)
+    ring = basis[0].ring
+    F = ring.field
+    packed = _Packed(ring, basis, max(map(sum, monomials), default=0) + 1)
     units = packed.packing.units
     tails = {lead: tail for lead, _, tail in packed.elements}
     D = len(monomials)

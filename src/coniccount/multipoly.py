@@ -12,7 +12,6 @@ result is folded back into monomials.  Otherwise it is a ``substitute``.
 """
 
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -68,12 +67,14 @@ class PolyRing:
 
     def monomials_of_degree(self, d):
         """All exponent tuples of total degree d, grevlex-sorted."""
-        n = self.nvars
-        if n == 0:
+        if self.nvars == 0:
             return [()] if d == 0 else []
-        # stars and bars: n - 1 bars among d + n - 1 slots
-        out = [tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (d + n - 1,)))
-               for bars in combinations(range(d + n - 1), n - 1)]
+        # the first nvars - 1 exponents, one variable at a time; the last
+        # takes what is left of d
+        out = [()]
+        for _ in range(self.nvars - 1):
+            out = [m + (e,) for m in out for e in range(d - sum(m) + 1)]
+        out = [m + (d - sum(m),) for m in out]
         out.sort(key=grevlex_key)
         return out
 

@@ -484,15 +484,21 @@ def test_reduction_near_2_to_the_61_is_exact():
     rng = random.Random("oracle:2^61")
     F = PrimeField(p)
     R = PolyRing(F, 3)
+    syms = sympy.symbols("x0:3")
+    to_sympy = lambda f: sympy.Poly.from_dict(f.terms, *syms, modulus=p)
     for _ in range(6):
         gens = _random_system(rng, R, lambda: F.random_element(rng), 3)
         basis = groebner_basis(gens)
         assert sorted(_as_lists(basis)) == sorted(_sympy_basis(gens))
-        polys = [g * R.from_dict({(1, 0, 0): F.random_element(rng)}) +
-                 R.from_dict({(0, 2, 1): F.random_element(rng)}) for g in gens]
-        for poly in basis + polys:
-            assert all(0 < c < p for c in poly.terms.values())
-            assert all(0 < c < p for c in normal_form(poly, basis).terms.values())
+        poly = R.from_dict({m: F.random_element(rng)
+                            for d in range(5) for m in R.monomials_of_degree(d)})
+        rem = normal_form(poly, basis)
+        for g in basis + [rem]:
+            assert all(0 < c < p for c in g.terms.values())
+        # the remainder modulo a Groebner basis is unique
+        _, ref = sympy.reduced(to_sympy(poly), [to_sympy(g) for g in basis], *syms,
+                               modulus=p, order="grevlex", polys=True)
+        assert rem.terms == {m: int(c) % p for m, c in ref.terms() if int(c) % p}
 
 
 def test_groebner_basis_refuses_an_extension_field():
