@@ -11,11 +11,12 @@ exponents, the last variable highest.  Int comparison is then the grevlex
 order, a product is one addition and a divisibility test one addition
 and one mask.  Buchberger keeps each basis element once, packed and
 monic, applies the product and chain criteria, and selects pairs by the
-smallest lcm, cached when the pair is made; remainders come off a
-max-heap of the terms still to reduce.  Coefficients are plain scalars
-(``Fraction`` or int) combined with ``+`` and ``*``; over GF(p) they
-accumulate unreduced and each is brought into [0, p) once, when its
-monomial comes off the heap.
+smallest lcm, cached when the pair is made.  Every S-polynomial and
+every final tail is reduced by ``normal_form`` on the packed basis, the
+remainder coming off a max-heap of the terms still to reduce.
+Coefficients are plain scalars (``Fraction`` or int) combined with ``+``
+and ``*``; over GF(p) they accumulate unreduced and each is brought into
+[0, p) once, when its monomial comes off the heap.
 
 Multiplication matrices are read off the normal forms of the border
 monomials x_v m (m standard), computed once each in increasing grevlex
@@ -132,7 +133,10 @@ class _Packed:
                             for lead, _, tail in self.elements]
         return old
 
-    def reduce(self, work, elements=None):
+    def __len__(self):
+        return len(self.elements)
+
+    def reduce(self, work):
         """Full remainder of the packed polynomial ``work`` (a dict, which
         is consumed) under division by the elements, tried in order.
 
@@ -140,8 +144,7 @@ class _Packed:
         when its monomial comes off the heap, and skipped if it is zero
         then.  Every term a division adds is below the monomial divided,
         so no monomial enters the heap twice."""
-        if elements is None:
-            elements = self.elements
+        elements = self.elements
         p = self.modulus
         guard, one = self.packing.guard, self.packing.one
         get = work.get
@@ -174,8 +177,12 @@ class _Packed:
 
 
 def normal_form(poly, basis):
-    """Full remainder of poly under division by the basis, a list of
-    polynomials tried in order."""
+    """Full remainder of poly under division by the basis, tried in order:
+    a polynomial under a list of polynomials, or a packed polynomial (a
+    dict, which is consumed) under a ``_Packed`` basis, which is how
+    ``groebner_basis`` runs every reduction."""
+    if isinstance(basis, _Packed):
+        return basis.reduce(poly)
     basis = _Packed(poly.ring, basis, poly.degree())
     return basis.unpack(basis.reduce(basis.pack(poly)))
 
@@ -235,7 +242,7 @@ def groebner_basis(system):
         for m, c in tail_i:
             m += qi
             work[m] = work.get(m, 0) - c
-        rem = basis.reduce(work)
+        rem = normal_form(work, basis)
         if rem:
             basis.append(rem)
             exps.append(basis.packing.unpack(elements[-1][0]))
@@ -247,10 +254,15 @@ def groebner_basis(system):
                if not any(j != i and not (el[0] + inv) & guard
                           and (lead != el[0] or j < i)
                           for j, (lead, inv, _) in enumerate(elements))]
-    # reduce the tails; the leads stay, since none divides another
+    # reduce the tails; the leads stay, since none divides another.  A
+    # lead divides no monomial below it, so each tail can be reduced
+    # against all of them, itself included; a lone tail is reduced already
+    elements[:] = minimal
     reduced = []
-    for i, (lead, _, tail) in enumerate(minimal):
-        rem = basis.reduce({m: -c for m, c in tail}, minimal[:i] + minimal[i + 1:])
+    for lead, _, tail in minimal:
+        rem = {m: F.neg(c) for m, c in tail}
+        if len(minimal) > 1:
+            rem = normal_form(rem, basis)
         rem[lead] = F.one
         reduced.append((lead, rem))
     reduced.sort(key=lambda el: el[0])

@@ -60,7 +60,7 @@ def test_criterion_03_quadric_cubic_count():
     assert rep.method == "groebner"
     assert rep.consistent
     assert sorted(rep.degree_profile) == sorted([3, 2, 1, 1, 2])
-    _report(3, 0.5, t0, "count --degrees 2,3 -> 12 via Groebner, unanimous")
+    _report(3, 2, t0, "count --degrees 2,3 -> 12 via Groebner, unanimous")
 
 
 def test_criterion_04_quartic_fourfold_count():

@@ -509,3 +509,34 @@ def test_groebner_basis_refuses_an_extension_field():
     x, y = R.gen(0), R.gen(1)
     with pytest.raises(ValueError, match="scalar"):
         groebner_basis([x * x - R.one(), y - x])
+
+
+def test_buchberger_reduces_through_normal_form(monkeypatch):
+    # every S-polynomial, and every final tail of a basis with more than
+    # one element, is reduced by normal_form on the packed basis, so a
+    # wrapper around that one function sees all of Buchberger's reductions
+    import coniccount.groebner as groebner
+    F = PrimeField(10007)
+    R = PolyRing(F, 3)
+    x, y, z = map(R.gen, range(3))
+    gens = [x * x + y * z - R.one(), y * y - x * z + R.constant(2),
+            z * z + x * y - R.constant(3)]
+    expected = groebner_basis(gens)
+    assert len(expected) > 1
+    seen = []
+    real = groebner.normal_form
+
+    def spy(poly, basis):
+        seen.append(len(basis))
+        return real(poly, basis)
+
+    monkeypatch.setattr(groebner, "normal_form", spy)
+    assert groebner_basis(gens) == expected
+    # the tails are reduced against the minimal basis, one call each
+    assert seen[-len(expected):] == [len(expected)] * len(expected)
+    assert len(seen) > len(expected) and min(seen) >= len(gens)
+    # a lone element has no other to reduce its tail against
+    seen.clear()
+    x = PolyRing(F, 1).gen(0)
+    assert groebner_basis([x ** 3 - x]) == [x ** 3 - x]
+    assert seen == []
