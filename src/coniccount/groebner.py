@@ -310,7 +310,18 @@ def quotient_count(basis):
 def multiplication_matrix(basis, monomials):
     """Matrices of multiplication by each variable on the standard
     monomials of a reduced grevlex basis: entry v is the matrix of x_v,
-    whose column m is the normal form of x_v m.
+    whose column m is the normal form of x_v m."""
+    # the packed basis is gone once the table is returned, before the
+    # lists are made; the matrices share the int objects of its rows
+    table, shifts = _border_normal_forms(basis, monomials)
+    if isinstance(table, np.ndarray):
+        table, shifts = table.tolist(), shifts.tolist()
+    return [linalg.transpose([table[s] for s in rows]) for rows in shifts]
+
+
+def _border_normal_forms(basis, monomials):
+    """The normal forms of the standard and border monomials, one row
+    each, and shifts[u][s], the row of x_u times standard monomial s.
 
     The border monomials x_v m that are not standard are reduced once
     each, in increasing order.  A leading term reduces to minus its tail.
@@ -359,9 +370,7 @@ def multiplication_matrix(basis, monomials):
         else:
             nz = np.flatnonzero(nf)
             table[r] = nf[nz] @ table[shifts[u][nz]] % p
-    if p is None:
-        return [linalg.transpose([table[s] for s in rows]) for rows in shifts]
-    return [table[rows].T.tolist() for rows in shifts]
+    return table, shifts
 
 
 class QuotientAlgebra:
