@@ -12,19 +12,21 @@ Four subcommands cover the pipeline:
 Human-readable tables go to stdout; the machine-readable report is JSON,
 written to --out when given, else to $CONICCOUNT_OUT_DIR/<command>.json
 when the variable is set.  Output is byte-identical for identical
-configuration and seeds.  Exit codes: 0 success, 2 usage, 3 degenerate
+configuration and seeds.  Exit codes: 0 success, 2 usage (including a
+`count` too large to run: see ``MAX_COUNT_SIZE``), 3 degenerate
 instances exhausted, 4 inconsistent counts, 5 a certificate or an
 expected-value check failed.
 """
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from .fields import field_to_json
 from .conic_system import (DegenerateInstance, dimension_from_degrees,
-                           random_ci)
+                           predicted_profile, random_ci)
 from .counting import (DEFAULT_PRIMES, DEFAULT_SEEDS, InconsistentCounts,
                        checked_prime_field, count_conics, solve_and_verify)
 from .groebner import PositiveDimensional
@@ -37,6 +39,12 @@ EXIT_OK = 0
 EXIT_DEGENERATE = 3
 EXIT_INCONSISTENT = 4
 EXIT_CHECK_FAILED = 5
+
+# `count` refuses a derived system whose Bezout number times its number of
+# chart variables is above this.  One certified trial took about 25 s for
+# (3,4), at 864 x 7 = 6048, and 50 s for (5,), at 1440 x 6 = 8640; (6,),
+# at 43200 x 8, would run for hours
+MAX_COUNT_SIZE = 10000
 
 
 def _parse_degrees(text):
@@ -76,9 +84,23 @@ def _emit(args, name, payload):
         print(text)
 
 
+def count_size(md):
+    """(Bezout number, chart variables) of the derived system of md: the
+    product of its degrees, and its number of nonlinear equations, which
+    the linear reduction and the affine chart leave one per variable."""
+    profile = predicted_profile(md)
+    return math.prod(profile), sum(1 for d in profile if d > 1)
+
+
 def cmd_count(args):
     degrees = args.degrees
     md = dimension_from_degrees(degrees)
+    bezout, chart = count_size(md)
+    if bezout * chart > MAX_COUNT_SIZE:
+        raise ValueError(
+            f"degrees {','.join(map(str, degrees))} are too large to count: estimated "
+            f"size {bezout * chart} = Bezout number {bezout} x {chart} chart "
+            f"variables, above {MAX_COUNT_SIZE}")
     try:
         report = count_conics(degrees, variant=args.variant, primes=args.primes,
                               seeds=args.seeds, method=args.method)

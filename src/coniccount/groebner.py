@@ -1,22 +1,32 @@
-"""Buchberger Groebner bases in grevlex order over a field, plus the
-zero-dimensional toolkit: standard monomials, multiplication matrices,
-eliminants, and points through a rational univariate representation:
-every coordinate is a polynomial in one separating linear form, so the
-points of a Galois orbit are remainders modulo one irreducible factor of
-its eliminant, with no linear algebra over an extension field.
+"""Groebner bases in grevlex order over a field, by F4 over GF(p) and
+Buchberger's reduction otherwise, plus the zero-dimensional toolkit:
+standard monomials, multiplication matrices, eliminants, and points
+through a rational univariate representation: every coordinate is a
+polynomial in one separating linear form, so the points of a Galois orbit
+are remainders modulo one irreducible factor of its eliminant, with no
+linear algebra over an extension field.
 
 Inside this module a monomial is one Python int (``_Packing``): the top
 field holds the total degree, the fields below it the complemented
 exponents, the last variable highest.  Int comparison is then the grevlex
 order, a product is one addition and a divisibility test one addition
-and one mask.  Buchberger keeps each basis element once, packed and
-monic, applies the product and chain criteria, and selects pairs by the
-smallest lcm, cached when the pair is made.  Every S-polynomial and
-every final tail is reduced by ``normal_form`` on the packed basis, the
-remainder coming off a max-heap of the terms still to reduce.
-Coefficients are plain scalars (``Fraction`` or int) combined with ``+``
-and ``*``; over GF(p) they accumulate unreduced and each is brought into
-[0, p) once, when its monomial comes off the heap.
+and one mask.  The basis keeps each element once, packed and monic.
+Pairs are selected by the degree of their lcm, cached when the pair is
+made, and all pairs of the lowest degree are taken at once through the
+product and chain criteria (Faugere 1999, JPAA 139).  Over GF(p) with
+p < 2^31, a batch of at least ``F4_MIN_BATCH`` S-polynomials is reduced
+as one int64 matrix (``_Packed.reduce_rows``): symbolic preprocessing
+picks one reducer per monomial that a lead divides, the reducers are
+applied in decreasing order of their leads, and the rows left over are
+put in reduced row echelon form.  Smaller batches, and every batch over
+QQ or a larger prime, are reduced one S-polynomial at a time by
+``normal_form``, which takes the remainder off a max-heap of the terms
+still to reduce; coefficients there are plain scalars (``Fraction`` or
+int) combined with ``+`` and ``*``, and over GF(p) each is brought into
+[0, p) once, when its monomial comes off the heap.  Both paths divide a
+monomial by the first element whose lead divides it, and the final tails
+of the reduced basis always go through ``normal_form``.  The reduced
+basis is canonical, so the path taken does not change it.
 
 Multiplication matrices are read off the normal forms of the border
 monomials x_v m (m standard), computed once each in increasing grevlex
@@ -40,6 +50,13 @@ from . import linalg
 INFINITE = "infinite"
 
 MIN_FIELD_BITS = 8
+
+# an S-polynomial batch smaller than this is reduced one polynomial at a
+# time by normal_form, a larger one over GF(p) as one matrix.  Timed on the
+# chart systems of (2,3), (2,2,3) and (4,): (2,3), whose batches are all
+# smaller than 6, takes about 15% longer at 4, and (2,2,3) and (4,) are
+# fastest from 1 to 6 and slower from 12 on
+F4_MIN_BATCH = 6
 
 
 class PositiveDimensional(ValueError):
@@ -100,6 +117,10 @@ class _Packed:
         self.modulus = ring.field.characteristic
         self.packing = _Packing(ring.nvars, max([degree] + [p.degree() for p in polys]))
         self.elements = []
+        # monomial -> index of the first element whose lead divides it, or
+        # ~n when none of the first n elements does; elements are only
+        # appended, so an entry stays true until a repacking
+        self.divisors = {}
         for p in polys:
             self.append(self.pack(p))
 
@@ -127,6 +148,7 @@ class _Packed:
             return None
         new = self.packing = _Packing(old.nvars, degree)
         repack = lambda m: new.pack(old.unpack(m))
+        self.divisors = {}
         # in place: groebner_basis holds on to the list
         self.elements[:] = [(repack(lead), new.one - repack(lead),
                              [(repack(m), c) for m, c in tail])
@@ -136,9 +158,117 @@ class _Packed:
     def __len__(self):
         return len(self.elements)
 
+    def replace(self, elements):
+        """Put ``elements`` in place of the elements."""
+        self.elements[:] = elements
+        self.divisors = {}
+
+    def first_divisor(self, m):
+        """Index of the first element whose lead divides the packed
+        monomial m, or None, through the cache ``divisors``."""
+        elements, guard = self.elements, self.packing.guard
+        n = len(elements)
+        k = self.divisors.get(m, -1)
+        if k >= 0:
+            return k
+        for k in range(~k, n):
+            if not (m + elements[k][1]) & guard:
+                self.divisors[m] = k
+                return k
+        self.divisors[m] = ~n
+        return None
+
+    def spoly(self, lcm, i, j):
+        """The S-polynomial of elements i and j, whose leads have the
+        packed lcm ``lcm``, from their tails, coefficients unreduced."""
+        one = self.packing.one
+        _, inv_i, tail_i = self.elements[i]
+        _, inv_j, tail_j = self.elements[j]
+        qi, qj = lcm + inv_i - one, lcm + inv_j - one
+        work = {m + qj: c for m, c in tail_j}
+        for m, c in tail_i:
+            m += qi
+            work[m] = work.get(m, 0) - c
+        return work
+
+    def reduce_rows(self, works):
+        """F4 reduction over GF(p), p < 2^31, of the packed polynomials
+        ``works`` at once: the nonzero rows of the reduced row echelon form
+        of their remainders, monic, whose monomials no lead divides.
+
+        Symbolic preprocessing gives every monomial that a lead divides
+        one reducer row x^q g, g its ``first_divisor``, as ``reduce``
+        chooses.  The reducers are applied to the works in decreasing
+        order of their leads, without being reduced among themselves
+        (Faugere-Lachartre), and what is left is put in reduced row
+        echelon form.  An entry is reduced mod p after every update, so it
+        stays below p + p^2, or, where a sum of one product per reducer
+        fits in int64, only when it is read."""
+        p = self.modulus
+        elements, divisor = self.elements, self.divisors.get
+        one = self.packing.one
+        # the matrix is stored transposed: row r holds monomial monos[r]
+        # in every work, rows numbered as the monomials are found
+        row, monos = {}, []
+        cells = ([], [], [])
+        for s, work in enumerate(works):
+            for m, c in work.items():
+                r = row.get(m)
+                if r is None:
+                    r = row[m] = len(monos)
+                    monos.append(m)
+                cells[0].append(r)
+                cells[1].append(s)
+                cells[2].append(c)
+        # symbolic preprocessing, which also visits the monomials that the
+        # reducers bring in; reducer i has lead row r and element k, and
+        # its tail covers rows[start:end]
+        reducers, rows = [], []
+        for r, m in enumerate(monos):
+            k = divisor(m, -1)
+            if k < 0:
+                k = self.first_divisor(m)
+                if k is None:
+                    continue
+            _, inv, tail = elements[k]
+            q = m + inv - one
+            start = len(rows)
+            for tm, _ in tail:
+                tm += q
+                t = row.get(tm)
+                if t is None:
+                    t = row[tm] = len(monos)
+                    monos.append(tm)
+                rows.append(t)
+            reducers.append((m, r, k, start, len(rows)))
+        rows = np.array(rows, dtype=np.intp)
+        a = np.zeros((len(monos), len(works)), dtype=np.int64)
+        a[cells[0], cells[1]] = cells[2]
+        a %= p
+        lazy = int64_modulus(self.field, len(reducers) + 1) is not None
+        coeffs = {}     # the tail coefficients of element k, as an array
+        reducers.sort(reverse=True)
+        for _, r, k, start, end in reducers:
+            f = a[r] % p if lazy else a[r]
+            if f.any():
+                tc = coeffs.get(k)
+                if tc is None:
+                    tc = coeffs[k] = np.array([c for _, c in elements[k][2]], dtype=np.int64)
+                tail = rows[start:end]
+                if lazy:
+                    a[tail] += np.multiply.outer(tc, f)
+                else:
+                    a[tail] = (a[tail] + np.multiply.outer(tc, f)) % p
+        done = {r for _, r, _, _, _ in reducers}
+        free = sorted(((m, r) for r, m in enumerate(monos) if r not in done), reverse=True)
+        echelon, pivots = linalg._rref_int64(a[[r for _, r in free]].T % p, p)
+        return [{free[c][0]: x for c, x in enumerate(row) if x}
+                for row in echelon[:len(pivots)]]
+
     def reduce(self, work):
         """Full remainder of the packed polynomial ``work`` (a dict, which
-        is consumed) under division by the elements, tried in order.
+        is consumed) under division by the elements, tried in order: each
+        monomial is divided by its ``first_divisor``.
 
         Coefficients in ``work`` may lie outside [0, p): each is reduced
         when its monomial comes off the heap, and skipped if it is zero
@@ -146,7 +276,8 @@ class _Packed:
         so no monomial enters the heap twice."""
         elements = self.elements
         p = self.modulus
-        guard, one = self.packing.guard, self.packing.one
+        one = self.packing.one
+        divisor = self.divisors.get
         get = work.get
         heap = [-m for m in work]
         heapify(heap)
@@ -158,21 +289,22 @@ class _Packed:
                 c %= p
             if not c:
                 continue
-            for _, inv, tail in elements:
-                q = m + inv
-                if not q & guard:
-                    q -= one
-                    for tm, tc in tail:
-                        mm = tm + q
-                        old = get(mm)
-                        if old is None:
-                            work[mm] = c * tc
-                            heappush(heap, -mm)
-                        else:
-                            work[mm] = old + c * tc
-                    break
-            else:
-                rem[m] = c
+            k = divisor(m, -1)
+            if k < 0:
+                k = self.first_divisor(m)
+                if k is None:
+                    rem[m] = c
+                    continue
+            _, inv, tail = elements[k]
+            q = m + inv - one
+            for tm, tc in tail:
+                mm = tm + q
+                old = get(mm)
+                if old is None:
+                    work[mm] = c * tc
+                    heappush(heap, -mm)
+                else:
+                    work[mm] = old + c * tc
         return rem
 
 
@@ -180,7 +312,8 @@ def normal_form(poly, basis):
     """Full remainder of poly under division by the basis, tried in order:
     a polynomial under a list of polynomials, or a packed polynomial (a
     dict, which is consumed) under a ``_Packed`` basis, which is how
-    ``groebner_basis`` runs every reduction."""
+    ``groebner_basis`` reduces its final tails and every S-polynomial off
+    the matrix path."""
     if isinstance(basis, _Packed):
         return basis.reduce(poly)
     basis = _Packed(poly.ring, basis, poly.degree())
@@ -205,6 +338,9 @@ def groebner_basis(system):
     exps = [basis.packing.unpack(lead) for lead, _, _ in elements]
     pairs = []          # heap of (lcm, i, j) with i < j
     pending = set()     # the (i, j) still in the heap
+    batch = []          # the pairs of one lcm degree that pass the criteria
+    # reduce_rows needs two products below p to fit in int64
+    matrix = int64_modulus(F, 2) is not None
 
     def add_pairs(t):
         lcms = [tuple(map(max, exps[k], exps[t])) for k in range(t)]
@@ -214,39 +350,48 @@ def groebner_basis(system):
         pack = basis.packing.pack
         if old is not None:
             # the repacking keeps the order, so the heap stays a heap
-            pairs[:] = [(pack(old.unpack(lcm)), i, j) for lcm, i, j in pairs]
+            for queue in (pairs, batch):
+                queue[:] = [(pack(old.unpack(lcm)), i, j) for lcm, i, j in queue]
         for k, lcm in enumerate(lcms):
             heappush(pairs, (pack(lcm), k, t))
             pending.add((k, t))
 
+    def extend(rows):
+        start = len(elements)
+        for terms in rows:
+            basis.append(terms)
+            exps.append(basis.packing.unpack(elements[-1][0]))
+        for t in range(start, len(elements)):
+            add_pairs(t)
+
     for t in range(len(elements)):
         add_pairs(t)
     while pairs:
-        lcm, i, j = heappop(pairs)
-        pending.discard((i, j))
-        guard, one = basis.packing.guard, basis.packing.one
-        lead_i, inv_i, tail_i = elements[i]
-        lead_j, inv_j, tail_j = elements[j]
-        # product criterion
-        if lcm == lead_i + lead_j - one:
+        guard, one, shift = basis.packing.guard, basis.packing.one, basis.packing.shift
+        degree = pairs[0][0] >> shift
+        batch.clear()
+        while pairs and pairs[0][0] >> shift == degree:
+            lcm, i, j = heappop(pairs)
+            pending.discard((i, j))
+            lead_i, lead_j = elements[i][0], elements[j][0]
+            # product criterion
+            if lcm == lead_i + lead_j - one:
+                continue
+            # chain criterion
+            if any(not (lcm + inv) & guard and k != i and k != j
+                   and ((k, i) if k < i else (i, k)) not in pending
+                   and ((k, j) if k < j else (j, k)) not in pending
+                   for k, (_, inv, _) in enumerate(elements)):
+                continue
+            batch.append((lcm, i, j))
+        if matrix and len(batch) >= F4_MIN_BATCH:
+            extend(basis.reduce_rows([basis.spoly(*pair) for pair in batch]))
             continue
-        # chain criterion
-        if any(not (lcm + inv) & guard and k != i and k != j
-               and ((k, i) if k < i else (i, k)) not in pending
-               and ((k, j) if k < j else (j, k)) not in pending
-               for k, (_, inv, _) in enumerate(elements)):
-            continue
-        # S-polynomial from the tails, which carry negated coefficients
-        qi, qj = lcm + inv_i - one, lcm + inv_j - one
-        work = {m + qj: c for m, c in tail_j}
-        for m, c in tail_i:
-            m += qi
-            work[m] = work.get(m, 0) - c
-        rem = normal_form(work, basis)
-        if rem:
-            basis.append(rem)
-            exps.append(basis.packing.unpack(elements[-1][0]))
-            add_pairs(len(elements) - 1)
+        # one at a time, each against the elements the last ones added
+        for n in range(len(batch)):
+            rem = normal_form(basis.spoly(*batch[n]), basis)
+            if rem:
+                extend([rem])
 
     # keep one element per minimal leading monomial
     guard, one = basis.packing.guard, basis.packing.one
@@ -257,7 +402,7 @@ def groebner_basis(system):
     # reduce the tails; the leads stay, since none divides another.  A
     # lead divides no monomial below it, so each tail can be reduced
     # against all of them, itself included; a lone tail is reduced already
-    elements[:] = minimal
+    basis.replace(minimal)
     reduced = []
     for lead, _, tail in minimal:
         rem = {m: F.neg(c) for m, c in tail}
@@ -266,7 +411,11 @@ def groebner_basis(system):
         rem[lead] = F.one
         reduced.append((lead, rem))
     reduced.sort(key=lambda el: el[0])
-    return [basis.unpack(terms) for _, terms in reduced]
+    # the tails share most of their monomials: unpack each one once
+    unpack = basis.packing.unpack
+    monomials = {m: unpack(m) for m in set().union(*(terms for _, terms in reduced))}
+    return [MultiPoly(ring, {monomials[m]: c for m, c in terms.items()})
+            for _, terms in reduced]
 
 
 def standard_monomials(basis):

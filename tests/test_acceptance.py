@@ -72,7 +72,7 @@ def test_criterion_04_quartic_fourfold_count():
     for t in rep.trials:
         assert t.certificates["quotient_dim_equals_bezout"]
         assert t.certificates["eliminant_squarefree"]
-    _report(4, 6, t0, "count --degrees 4 -> 72, quotient = Bezout = 72")
+    _report(4, 3, t0, "count --degrees 4 -> 72, quotient = Bezout = 72")
 
 
 def test_criterion_05_bezout_equals_formula():
@@ -218,3 +218,30 @@ def test_criterion_13_splitting_covers_every_conic(tmp_path, capsys):
             assert sum(e["orbit_degree"] for e in data["entries"]) == 12
     capsys.readouterr()
     _report(13, 10, t0, "splitting --degrees 2,3 covers 12 of 12, 3 primes x 10 seeds")
+
+
+@pytest.mark.slow
+def test_criterion_14_quadric_quadric_quartic_count():
+    # 10-12 s on two shared cores
+    t0 = time.time()
+    rep = count_conics((2, 2, 4), primes=PRIMES, seeds=SEEDS)
+    assert rep.count == 288 == rep.bezout == expected_count((2, 2, 4))
+    assert rep.consistent and rep.matches_expected and len(rep.trials) == 9
+    for t in rep.trials:
+        assert t.method == "groebner"
+        assert t.certificates == {"quotient_dim_equals_bezout": True,
+                                  "eliminant_squarefree": True}
+    _report(14, 45, t0, "count --degrees 2,2,4 -> 288, quotient = Bezout, 3x3 trials")
+
+
+@pytest.mark.slow
+def test_criterion_15_cubic_quartic_count():
+    # about 15 s on two shared cores
+    t0 = time.time()
+    rep = count_conics((3, 4), primes=(10007,), seeds=(0,))
+    assert rep.count == 864 == rep.bezout == expected_count((3, 4))
+    assert rep.matches_expected
+    ((trial,),) = [rep.trials]
+    assert trial.certificates == {"quotient_dim_equals_bezout": True,
+                                  "eliminant_squarefree": True}
+    _report(15, 60, t0, "count --degrees 3,4 -> 864, one certified trial")

@@ -212,3 +212,22 @@ def test_certify_reports_match_golden_digests(tmp_path):
         res = run_cli(*args, "--out", str(out))
         assert res.returncode == 0, res.stdout + res.stderr
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, args
+
+
+def test_count_refuses_an_oversized_input_before_any_trial(monkeypatch, capsys):
+    from coniccount import cli
+
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr(cli, "count_conics", no_trial)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["count", "--degrees", "6"])
+    assert info.value.code == 2
+    assert ("size 345600 = Bezout number 43200 x 8 chart variables"
+            in capsys.readouterr().err)
+    # (3,4), 864 x 7, is under the threshold and goes on to count
+    with pytest.raises(AssertionError, match="a trial started"):
+        cli.main(["count", "--degrees", "3,4"])
+    res = run_cli("count", "--degrees", "6")
+    assert res.returncode == 2 and "above 10000" in res.stderr

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import permutations, product
@@ -511,32 +512,179 @@ def test_groebner_basis_refuses_an_extension_field():
         groebner_basis([x * x - R.one(), y - x])
 
 
-def test_buchberger_reduces_through_normal_form(monkeypatch):
-    # every S-polynomial, and every final tail of a basis with more than
-    # one element, is reduced by normal_form on the packed basis, so a
-    # wrapper around that one function sees all of Buchberger's reductions
+def _spy(monkeypatch, owner, name, log):
+    """Replace owner.name by a wrapper that appends (name, result) to log."""
+    real = getattr(owner, name)
+
+    def spy(*args):
+        out = real(*args)
+        log.append((name, out))
+        return out
+
+    monkeypatch.setattr(owner, name, spy)
+
+
+def test_reductions_go_through_normal_form_outside_the_matrix_path(monkeypatch):
+    # every S-polynomial goes through normal_form over QQ, beyond the int64
+    # range and in batches below F4_MIN_BATCH, and to reduce_rows in larger
+    # batches over GF(p); the final tails always go through normal_form, so
+    # a wrapper around that one function sees them in every run
+    import coniccount.groebner as groebner
+
+    def run(field, min_batch):
+        R = PolyRing(field, 3)
+        x, y, z = map(R.gen, range(3))
+        gens = [x * x + y * z - R.one(), y * y - x * z + R.constant(2),
+                z * z + x * y - R.constant(3)]
+        log = []
+        monkeypatch.setattr(groebner, "F4_MIN_BATCH", min_batch)
+        _spy(monkeypatch, groebner._Packed, "spoly", log)
+        _spy(monkeypatch, groebner._Packed, "reduce_rows", log)
+        _spy(monkeypatch, groebner, "normal_form", log)
+        basis = groebner_basis(gens)
+        monkeypatch.undo()
+        assert basis == groebner_basis(gens) and len(basis) > 1
+        names = [name for name, _ in log]
+        # the tails are reduced against the minimal basis, one call each
+        assert names[-len(basis):] == ["normal_form"] * len(basis)
+        return names[:-len(basis)], basis
+
+    for field in (QQ, PrimeField(2 ** 31 + 11), PrimeField(10007)):
+        names, _ = run(field, 10 ** 9)
+        assert "reduce_rows" not in names and names.count("spoly") > 1
+        assert names.count("normal_form") == names.count("spoly")
+    # at every batch size over QQ and above 2^31
+    for field in (QQ, PrimeField(2 ** 31 + 11)):
+        names, _ = run(field, 1)
+        assert "reduce_rows" not in names
+        assert names.count("normal_form") == names.count("spoly")
+    names, basis = run(PrimeField(10007), 1)
+    assert "normal_form" not in names and "reduce_rows" in names
+    assert names.count("spoly") > 1
+    # a lone element has no other to reduce its tail against
+    log = []
+    _spy(monkeypatch, groebner, "normal_form", log)
+    x = PolyRing(PrimeField(10007), 1).gen(0)
+    assert groebner_basis([x ** 3 - x]) == [x ** 3 - x]
+    assert log == []
+
+
+# -- F4: the matrix path against the one-polynomial path and sympy ---------------
+
+
+def _both_paths(monkeypatch, gens, min_batch=1):
+    """The basis with batches of at least min_batch S-polynomials on the
+    matrix path, the number of matrix reductions, and the basis with every
+    S-polynomial reduced by normal_form."""
+    import coniccount.groebner as groebner
+    log = []
+    monkeypatch.setattr(groebner, "F4_MIN_BATCH", min_batch)
+    _spy(monkeypatch, groebner._Packed, "reduce_rows", log)
+    matrix = groebner_basis(gens)
+    monkeypatch.undo()
+    monkeypatch.setattr(groebner, "F4_MIN_BATCH", 10 ** 9)
+    single = groebner_basis(gens)
+    monkeypatch.undo()
+    return matrix, len(log), single
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 2 ** 32))
+def test_matrix_path_matches_normal_forms_and_sympy(nvars, seed):
+    rng = random.Random(seed)
+    F = PrimeField(10007)
+    R = PolyRing(F, nvars)
+    gens = _random_system(rng, R, lambda: F.random_element(rng), 3 if nvars < 4 else 2)
+    with pytest.MonkeyPatch.context() as mp:
+        matrix, reductions, single = _both_paths(mp, gens)
+    assume(reductions)
+    assert matrix == single
+    assert sorted(_as_lists(matrix)) == sorted(_sympy_basis(gens))
+
+
+def _pipeline_system(degrees):
+    *_, solver, _ = run_trial(dimension_from_degrees(degrees), "secant", 10007, 0,
+                              method="groebner")
+    return solver._affine_chart()[0]
+
+
+@pytest.mark.parametrize("degrees", [(4,), (3, 3), (2, 4)])
+def test_matrix_path_on_pipeline_systems(monkeypatch, degrees):
+    # at the module's own batch threshold
+    import coniccount.groebner as groebner
+    gens = _pipeline_system(degrees)
+    matrix, reductions, single = _both_paths(monkeypatch, gens, groebner.F4_MIN_BATCH)
+    assert reductions >= 4
+    assert matrix == single
+    assert quotient_count(matrix) == math.prod(g.degree() for g in gens)
+
+
+@pytest.mark.slow
+def test_matrix_path_on_a_pipeline_system_matches_sympy():
+    # about 10 s in sympy
+    gens = _pipeline_system((4,))
+    assert sorted(_as_lists(groebner_basis(gens))) == sorted(_sympy_basis(gens))
+
+
+def test_matrix_path_is_exact_at_the_largest_prime_below_2_to_the_31(monkeypatch):
+    # 2^31 - 1 is prime and 2 p^2 < 2^63: the matrix path runs, with
+    # entries up to p + p^2 near 2^62, reduced after every update since one
+    # product per reducer no longer fits
+    p = 2 ** 31 - 1
+    F = PrimeField(p)
+    assert int64_modulus(F, 2) == p and int64_modulus(F, 3) is None
+    rng = random.Random("oracle:2^31-1")
+    R = PolyRing(F, 3)
+    checked = 0
+    while checked < 6:
+        gens = _random_system(rng, R, lambda: F.random_element(rng), 3)
+        matrix, reductions, single = _both_paths(monkeypatch, gens)
+        if not reductions:
+            continue
+        assert matrix == single
+        assert sorted(_as_lists(matrix)) == sorted(_sympy_basis(gens))
+        for g in matrix:
+            assert all(0 < c < p for c in g.terms.values())
+        checked += 1
+
+
+def test_matrix_path_widens_the_packing_between_reductions(monkeypatch):
+    # the inputs have degree 117 and 104, within the first field width;
+    # after two matrix reductions a pair's lcm needs a wider packing, and
+    # the first-divisor cache, keyed by packed monomials, starts afresh
     import coniccount.groebner as groebner
     F = PrimeField(10007)
-    R = PolyRing(F, 3)
-    x, y, z = map(R.gen, range(3))
-    gens = [x * x + y * z - R.one(), y * y - x * z + R.constant(2),
-            z * z + x * y - R.constant(3)]
-    expected = groebner_basis(gens)
-    assert len(expected) > 1
-    seen = []
-    real = groebner.normal_form
+    R = PolyRing(F, 2)
+    gens = [R.from_dict({(0, 0): 1, (32, 15): 8117, (57, 60): 6219}),
+            R.from_dict({(0, 0): 1, (12, 62): 464, (49, 55): 9952})]
+    log = []
+    monkeypatch.setattr(groebner, "F4_MIN_BATCH", 1)
+    _spy(monkeypatch, groebner._Packed, "widen", log)
+    _spy(monkeypatch, groebner._Packed, "reduce_rows", log)
+    basis = groebner_basis(gens)
+    events = "".join("W" if name == "widen" and out is not None else
+                     "M" if name == "reduce_rows" else "" for name, out in log)
+    assert "M" in events and "M" in events[events.index("M"):].split("W", 1)[1]
+    assert sorted(_as_lists(basis)) == sorted(_sympy_basis(gens))
+    assert quotient_count(basis) == 3644
 
-    def spy(poly, basis):
-        seen.append(len(basis))
-        return real(poly, basis)
 
-    monkeypatch.setattr(groebner, "normal_form", spy)
-    assert groebner_basis(gens) == expected
-    # the tails are reduced against the minimal basis, one call each
-    assert seen[-len(expected):] == [len(expected)] * len(expected)
-    assert len(seen) > len(expected) and min(seen) >= len(gens)
-    # a lone element has no other to reduce its tail against
-    seen.clear()
-    x = PolyRing(F, 1).gen(0)
-    assert groebner_basis([x ** 3 - x]) == [x ** 3 - x]
-    assert seen == []
+def test_widen_and_replace_empty_the_divisor_cache():
+    from coniccount.groebner import _Packed
+    F = PrimeField(10007)
+    R = PolyRing(F, 2)
+    x, y = R.gen(0), R.gen(1)
+    packed = _Packed(R, [x * x - y, y ** 3 - R.one()])
+    m = packed.packing.pack((3, 1))
+    assert packed.first_divisor(m) == 0
+    assert packed.first_divisor(packed.packing.pack((1, 2))) is None
+    # an element appended later is found past the cached miss
+    packed.append(packed.pack(x * y ** 2 - R.one()))
+    assert packed.first_divisor(packed.packing.pack((1, 2))) == 2
+    assert packed.widen(packed.packing.top) is None and packed.divisors
+    assert packed.widen(packed.packing.top + 1) is not None
+    assert packed.divisors == {}
+    assert packed.first_divisor(packed.packing.pack((3, 1))) == 0
+    packed.replace(packed.elements[1:])
+    assert packed.divisors == {}
+    assert packed.first_divisor(packed.packing.pack((3, 1))) is None
