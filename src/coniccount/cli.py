@@ -84,18 +84,13 @@ def _emit(args, name, payload):
         print(text)
 
 
-def count_size(md):
-    """(Bezout number, chart variables) of the derived system of md: the
-    product of its degrees, and its number of nonlinear equations, which
-    the linear reduction and the affine chart leave one per variable."""
-    profile = predicted_profile(md)
-    return math.prod(profile), sum(1 for d in profile if d > 1)
-
-
 def cmd_count(args):
     degrees = args.degrees
     md = dimension_from_degrees(degrees)
-    bezout, chart = count_size(md)
+    # the linear reduction and the affine chart leave one chart variable
+    # per nonlinear equation of the derived system
+    profile = predicted_profile(md)
+    bezout, chart = math.prod(profile), sum(1 for d in profile if d > 1)
     if bezout * chart > MAX_COUNT_SIZE:
         raise ValueError(
             f"degrees {','.join(map(str, degrees))} are too large to count: estimated "

@@ -117,9 +117,9 @@ class _Packed:
         self.modulus = ring.field.characteristic
         self.packing = _Packing(ring.nvars, max([degree] + [p.degree() for p in polys]))
         self.elements = []
-        # monomial -> index of the first element whose lead divides it, or
-        # ~n when none of the first n elements does; elements are only
-        # appended, so an entry stays true until a repacking
+        # packed monomial -> index of the first element whose lead divides
+        # it, or ~n when none of the first n elements does; elements are
+        # only appended, so an entry holds until widen or replace
         self.divisors = {}
         for p in polys:
             self.append(self.pack(p))
