@@ -338,7 +338,9 @@ def groebner_basis(system):
     exps = [basis.packing.unpack(lead) for lead, _, _ in elements]
     pairs = []          # heap of (lcm, i, j) with i < j
     pending = set()     # the (i, j) still in the heap
-    batch = []          # the pairs of one lcm degree that pass the criteria
+    # the pairs of one lcm degree that pass the criteria; they are out of
+    # pending, since they are reduced before any later pair
+    batch = []
     # reduce_rows needs two products below p to fit in int64
     matrix = int64_modulus(F, 2) is not None
 
@@ -387,7 +389,8 @@ def groebner_basis(system):
         if matrix and len(batch) >= F4_MIN_BATCH:
             extend(basis.reduce_rows([basis.spoly(*pair) for pair in batch]))
             continue
-        # one at a time, each against the elements the last ones added
+        # one at a time, each against the elements the earlier ones added;
+        # an append may widen the packing, which repacks the batch
         for n in range(len(batch)):
             rem = normal_form(basis.spoly(*batch[n]), basis)
             if rem:
